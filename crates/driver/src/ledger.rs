@@ -41,10 +41,12 @@ use crate::{DriverConfig, DriverStats};
 /// counters (assumption-core extraction). v3 appended the `slice_hits` /
 /// `slice_fallbacks` / `slice_dropped_hyps` counters (unsat-core-driven
 /// hypothesis slicing) and the optional per-VC `core` array (the positional
-/// hypothesis indices a Valid verdict's refutation used). Older lines still
-/// parse — the new counters read as zero, the core as absent — so pre-bump
-/// baselines remain comparable.
-pub const LEDGER_SCHEMA: u64 = 3;
+/// hypothesis indices a Valid verdict's refutation used). v4 appended the
+/// `theory_lits` / `theory_lits_asserted` counters (literals handed to the
+/// incremental theory session, and those it actually asserted). Older lines
+/// still parse — the new counters read as zero, the core as absent — so
+/// pre-bump baselines remain comparable.
+pub const LEDGER_SCHEMA: u64 = 4;
 
 /// Oldest schema version [`RunRecord::parse`] still accepts.
 pub const LEDGER_SCHEMA_MIN: u64 = 1;
@@ -114,7 +116,7 @@ pub struct VcLedgerEntry {
 pub const PHASES: [&str; 5] = ["lower", "sat", "euf", "simplex", "overhead"];
 
 /// The counter names of [`VcLedgerEntry::solver`], in storage order.
-pub const SOLVER_COUNTERS: [&str; 13] = [
+pub const SOLVER_COUNTERS: [&str; 15] = [
     "theory_rounds",
     "conflicts",
     "decisions",
@@ -128,6 +130,8 @@ pub const SOLVER_COUNTERS: [&str; 13] = [
     "slice_hits",
     "slice_fallbacks",
     "slice_dropped_hyps",
+    "theory_lits",
+    "theory_lits_asserted",
 ];
 
 /// One run's ledger record: metadata plus one entry per discharged VC.
@@ -191,6 +195,8 @@ fn vc_entry(task: &MethodTask, vc: &VcReport) -> VcLedgerEntry {
             vc.solver.slice_hits,
             vc.solver.slice_fallbacks,
             vc.solver.slice_dropped_hyps,
+            vc.solver.theory_lits,
+            vc.solver.theory_lits_asserted,
         ],
         hists: vc.hists.clone(),
         core: vc.core.clone(),

@@ -26,6 +26,7 @@
 //!   (`crate::trail::TheorySession`): congruence closure and the simplex
 //!   tableau survive across DPLL(T) rounds, and each round asserts/retracts
 //!   only the literals that changed since the previous propositional model
+//!   ([`SolverStats::theory_lits_asserted`] of [`SolverStats::theory_lits`]),
 //!   instead of reconstructing both solvers from scratch.
 //!
 //! Model soundness with retraction: atoms that only occur in popped scopes
@@ -34,7 +35,8 @@
 //! assignment is a genuine model of the active assertions because every
 //! remaining clause mentioning dead atoms is either deactivated (by the
 //! popped activation literal) or a valid lemma, satisfied by the dead atoms'
-//! semantic truth values.
+//! semantic truth values. Liveness cannot change within one check, so it is
+//! resolved once per check, not once per round.
 //!
 //! # Two-level scope discipline (structure-scoped warm pools)
 //!
@@ -593,6 +595,7 @@ impl IncrementalSolver {
         }
         assumptions.extend(self.scopes.iter().map(|s| Lit::new(s.act, true)));
 
+        let live = self.live_atoms();
         // Split borrows: the loop reads the checker while mutating the SAT
         // core, the theory session and the stats.
         let checker = self.checker.as_ref().expect("checker built above");
@@ -645,15 +648,21 @@ impl IncrementalSolver {
                 }
                 SatResult::Sat => {}
             }
-            // Literals in SAT-trail (assignment) order: CDCL backjumps keep a
-            // long trail prefix, so consecutive rounds share a long literal
-            // prefix and the theory session only processes the delta.
-            let literals = live_literals(&self.atom_map, sat, &self.atom_scope, &self.scopes);
+            // Live literals in SAT-trail (assignment) order, not term order:
+            // CDCL backjumps retract only a trail suffix, so consecutive rounds
+            // share a long literal prefix and the theory session only
+            // processes the delta. The model sorts separately.
+            let literals: Vec<(TermId, bool)> = sat
+                .trail()
+                .iter()
+                .filter_map(|&l| live[l.var() as usize].map(|atom| (atom, l.is_positive())))
+                .collect();
             let theory_start = std::time::Instant::now();
-            let (theory_result, theory_tel, delta_lits) =
-                session.check_round(tm, checker, &literals);
+            let (theory_result, theory_tel, delta) = session.check_round(tm, checker, &literals);
             let theory_elapsed = theory_start.elapsed();
             stats.theory_time += theory_elapsed;
+            stats.theory_lits += literals.len() as u64;
+            stats.theory_lits_asserted += delta.asserted;
             stats.pivots += theory_tel.pivots;
             stats.euf_time += theory_tel.euf_time;
             stats.simplex_time += theory_tel.simplex_time;
@@ -663,7 +672,10 @@ impl IncrementalSolver {
                     theory_elapsed.as_micros() as u64,
                 );
                 ids_obs::record_metric(ids_obs::Metric::PivotsPerRound, theory_tel.pivots);
-                ids_obs::record_metric(ids_obs::Metric::TheoryDeltaLits, delta_lits);
+                ids_obs::record_metric(
+                    ids_obs::Metric::TheoryDeltaLits,
+                    delta.retracted + delta.asserted,
+                );
             }
             if ids_obs::heartbeat_interval() != 0 {
                 ids_obs::emit_heartbeat(ids_obs::Heartbeat {
@@ -725,6 +737,29 @@ impl IncrementalSolver {
         SatResult::Unknown
     }
 
+    /// The live atom of each SAT variable (`None` for Tseitin variables and
+    /// dead atoms; see the module documentation), for one check's rounds to
+    /// read their literals off the SAT trail with one index per literal.
+    fn live_atoms(&self) -> Vec<Option<TermId>> {
+        let mut live = vec![None; self.sat.num_vars()];
+        for (&var, &atom) in &self.atom_map.atom_of_var {
+            live[var as usize] = match self.atom_scope.get(&atom) {
+                Some(AtomScope::Base) => Some(atom),
+                Some(AtomScope::Scopes(ids)) => ids
+                    .iter()
+                    .any(|id| self.scopes.iter().any(|s| s.id == *id))
+                    .then_some(atom),
+                // Unmarked atoms have a SAT encoding but no live
+                // registration: they were only ever used inside a method
+                // scope that has since been popped and rolled back. The
+                // restored theory checker does not know them, and every live
+                // clause mentioning them is deactivated.
+                None => None,
+            };
+        }
+        live
+    }
+
     /// Number of literals currently held by the persistent theory session's
     /// trail. Exposed for the scope-leak property tests: rolling back a
     /// method scope must restore the trail to its pre-scope length.
@@ -750,42 +785,6 @@ impl IncrementalSolver {
             SatResult::Unknown => SatResult::Unknown,
         }
     }
-}
-
-/// The asserted theory literals of the current SAT model, restricted to live
-/// atoms (see the module documentation for why dead atoms must be excluded
-/// from theory checking).
-///
-/// Literals come back in SAT-trail (assignment) order, not term order: CDCL
-/// backjumps retract only a trail suffix, so consecutive models agree on a
-/// long prefix under this ordering, which is what lets the persistent theory
-/// session assert/retract only the per-round delta. Callers needing a
-/// canonical order (the model) sort separately.
-fn live_literals(
-    atom_map: &AtomMap,
-    sat: &SatSolver,
-    atom_scope: &HashMap<TermId, AtomScope>,
-    scopes: &[Scope],
-) -> Vec<(TermId, bool)> {
-    let live_ids: std::collections::HashSet<u64> = scopes.iter().map(|s| s.id).collect();
-    let is_live = |t: &TermId| match atom_scope.get(t) {
-        Some(AtomScope::Base) => true,
-        Some(AtomScope::Scopes(ids)) => ids.iter().any(|id| live_ids.contains(id)),
-        // Unmarked atoms have a SAT encoding but no live registration: they
-        // were only ever used inside a method scope that has since been
-        // popped and rolled back. The restored theory checker does not know
-        // them, and every live clause mentioning them is deactivated.
-        None => false,
-    };
-    let mut out = Vec::new();
-    for &lit in sat.trail() {
-        if let Some(&atom) = atom_map.atom_of_var.get(&lit.var()) {
-            if is_live(&atom) {
-                out.push((atom, lit.is_positive()));
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

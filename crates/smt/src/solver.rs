@@ -201,6 +201,14 @@ pub struct SolverStats {
     /// slice hits; the saving the cached cores bought). Always 0 for the
     /// batch solver. Merge: **sum**.
     pub slice_dropped_hyps: u64,
+    /// Literals handed to the incremental theory session, summed over the
+    /// theory rounds. Always 0 for the batch solver, which has no session.
+    /// Merge: **sum**.
+    pub theory_lits: u64,
+    /// Of `theory_lits`, the literals the session actually asserted: those
+    /// past the prefix it shared with the previous round's trail. Always 0
+    /// for the batch solver. Merge: **sum**.
+    pub theory_lits_asserted: u64,
 }
 
 impl SolverStats {
@@ -231,6 +239,8 @@ impl SolverStats {
         self.slice_hits += other.slice_hits;
         self.slice_fallbacks += other.slice_fallbacks;
         self.slice_dropped_hyps += other.slice_dropped_hyps;
+        self.theory_lits += other.theory_lits;
+        self.theory_lits_asserted += other.theory_lits_asserted;
     }
 }
 
@@ -323,7 +333,12 @@ impl Solver {
         // The expensive per-atom setup (term universe, congruence template,
         // linearized arithmetic forms) is done once; every theory round below
         // only resets the cheap mutable state.
-        let atoms: Vec<TermId> = atom_map.atom_of_var.values().copied().collect();
+        // Atoms in SAT-variable order: the congruence template numbers its
+        // nodes in this order, so a hash-map order would make the search
+        // differ from one `Solver` to the next.
+        let mut by_var: Vec<_> = atom_map.atom_of_var.iter().collect();
+        by_var.sort_unstable();
+        let atoms: Vec<TermId> = by_var.into_iter().map(|(_, &t)| t).collect();
         let checker = TheoryChecker::new(tm, &atoms);
 
         for round in 0..self.config.max_theory_rounds {
@@ -632,6 +647,8 @@ mod tests {
             slice_hits: seed + 20,
             slice_fallbacks: seed + 21,
             slice_dropped_hyps: seed + 22,
+            theory_lits: seed + 23,
+            theory_lits_asserted: seed + 24,
         };
         let (a, b) = (mk(100), mk(5));
         let mut merged = a;
@@ -660,6 +677,8 @@ mod tests {
             slice_hits,
             slice_fallbacks,
             slice_dropped_hyps,
+            theory_lits,
+            theory_lits_asserted,
         } = merged;
         // Sums: effort counters and wall-clock times.
         assert_eq!(theory_rounds, a.theory_rounds + b.theory_rounds);
@@ -684,6 +703,11 @@ mod tests {
         assert_eq!(
             slice_dropped_hyps,
             a.slice_dropped_hyps + b.slice_dropped_hyps
+        );
+        assert_eq!(theory_lits, a.theory_lits + b.theory_lits);
+        assert_eq!(
+            theory_lits_asserted,
+            a.theory_lits_asserted + b.theory_lits_asserted
         );
         // Gauges: merge must keep the maximum, in either merge order.
         assert_eq!(learned_kept, a.learned_kept.max(b.learned_kept));

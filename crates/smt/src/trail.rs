@@ -7,20 +7,29 @@
 //! of that work is re-derivation of state the previous round already had.
 //!
 //! [`TheorySession`] keeps the theory state alive across rounds and processes
-//! only the *delta*: the literals retracted and asserted since the previous
-//! model. Retraction is exact undo —
+//! only the *delta*: the previous trail past its longest common prefix with
+//! the new literal list is retracted, the rest of the list asserted. Nothing
+//! else is undone, even after a conflict: the SAT backjump retracts a
+//! conflict literal, and the next round pops exactly what the SAT trail
+//! changed. Retraction is exact undo —
 //!
 //! * EUF is a union-find **without path compression** (so links can be
 //!   unwound), with union-by-size, a proof forest for explanations, per-class
 //!   use-lists for incremental congruence, and an exact signature table in
 //!   which *every* mutation is recorded on an undo trail. Popping a literal
-//!   restores the structure bit-for-bit, which is what makes the replay
-//!   oracle in the tests meaningful.
+//!   restores the structure bit-for-bit: the state, and so every conflict
+//!   explanation, equals a fresh replay of the round's literals.
 //! * Simplex keeps its tableau, basis and slack variables across rounds
 //!   (warm restart); retraction only rolls back bound tightenings via
 //!   [`crate::simplex::Simplex::undo_to`]. Slack variables are reused across
 //!   re-assertions of the same linear form so the tableau does not grow with
 //!   the number of rounds.
+//!
+//! Simplex parts are loaded after the EUF phase, so an EUF conflict leaves
+//! the new literals unloaded. Loaded entries always form a prefix of the
+//! trail; the rest have `simplex_mark == usize::MAX`. Each simplex phase
+//! loads from that watermark on, and a load conflict unloads only the
+//! literal that failed.
 //!
 //! Verdicts are identical to the batch path: congruence closure reaches the
 //! same fixpoint regardless of merge order, simplex verdicts are independent
@@ -31,7 +40,6 @@
 //! different valid inconsistent subset), which is fine for DPLL(T): any
 //! inconsistent subset yields a sound theory lemma.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::euf::{EufTemplate, Reason};
@@ -404,19 +412,22 @@ struct TrailEntry {
     positive: bool,
     /// EUF undo-trail length before this literal's EUF assertions.
     euf_mark: usize,
-    /// Simplex bound-trail length before this literal's bound assertions
-    /// (`usize::MAX` until the simplex phase of its round reaches it; every
-    /// committed entry has a real mark).
+    /// Simplex bound-trail length before this literal's bound assertions, or
+    /// `usize::MAX` while its simplex part is not loaded. Loaded entries
+    /// always form a prefix of the trail (the simplex watermark).
     simplex_mark: usize,
-    /// Numeric leaf terms of this literal's linear form (empty for
-    /// non-arithmetic literals). The EUF-derived equality propagation is
-    /// restricted to these, matching the batch path's per-round set.
-    arith_terms: Vec<TermId>,
-    /// Whether the literal carries a simplex constraint at all. Distinct from
-    /// `arith_terms.is_empty()`: a linear form whose terms cancel (e.g. the
-    /// negation of `x <= x`, i.e. `0 < 0`) has no leaf terms but still must
-    /// be sent to the simplex, which refutes constant infeasible constraints.
-    has_arith: bool,
+    /// Numeric leaf terms of the literal's simplex constraint, `None` if it
+    /// has none. `Some(empty)` (`0 < 0`, the negation of `x <= x`) still goes
+    /// to the simplex, which refutes it by its constant. EUF-derived equalities
+    /// are propagated between these terms only, as in the batch path.
+    arith_terms: Option<Vec<TermId>>,
+}
+
+/// The literals one round retracted from the previous trail and asserted.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct RoundDelta {
+    pub(crate) retracted: u64,
+    pub(crate) asserted: u64,
 }
 
 /// Result of one [`TheorySession::check_round`], with conflicts already
@@ -485,16 +496,17 @@ impl TheorySession {
     /// state left by the previous round. `literals` must be in a stable
     /// assignment order (the SAT trail order): the longest common prefix
     /// with the previous round's literals is kept asserted, the rest of the
-    /// old trail is retracted and the rest of `literals` asserted.
+    /// old trail is retracted and the rest of `literals` asserted. Whatever
+    /// the verdict, every literal stays on the trail afterwards.
     ///
-    /// Returns the verdict, the round's telemetry, and the number of delta
-    /// literals processed (retracted + asserted).
+    /// Returns the verdict, the round's telemetry, and how many literals
+    /// were retracted and asserted.
     pub(crate) fn check_round(
         &mut self,
         tm: &TermManager,
         checker: &TheoryChecker,
         literals: &[(TermId, bool)],
-    ) -> (SessionCheck, TheoryTelemetry, u64) {
+    ) -> (SessionCheck, TheoryTelemetry, RoundDelta) {
         let mut tel = TheoryTelemetry::default();
 
         // ------------------------------------------------------------ EUF phase
@@ -523,135 +535,119 @@ impl TheorySession {
         {
             common += 1;
         }
-        let popped = trail.len() - common;
-        if popped > 0 {
+        let delta = RoundDelta {
+            retracted: (trail.len() - common) as u64,
+            asserted: (literals.len() - common) as u64,
+        };
+        if common < trail.len() {
             euf.undo_to(trail[common].euf_mark);
+            // Loaded entries form a prefix: if this one is not loaded, no
+            // later one is either.
             if trail[common].simplex_mark != usize::MAX {
                 simplex.undo_to(trail[common].simplex_mark);
             }
             trail.truncate(common);
         }
-        let pushed = literals.len() - common;
-        let delta_lits = (popped + pushed) as u64;
 
-        // Assert the EUF part of each delta literal; arithmetic parts are
-        // collected and loaded after the disequality check, because EUF
-        // equalities over numeric terms must be propagated into the simplex.
-        struct ArithPart<'k> {
-            idx: usize,
-            form: Cow<'k, LinForm>,
-            rel: Rel,
-            both_int: bool,
-        }
-        let mut arith_parts: Vec<ArithPart<'_>> = Vec::new();
+        // Assert the EUF part of each new literal. Simplex parts are loaded
+        // after the disequality check, because EUF equalities over numeric
+        // terms must be propagated into the simplex.
+        let leaves =
+            |form: &LinForm| -> Vec<TermId> { form.terms.iter().map(|&(t, _)| t).collect() };
         for (i, &(atom, positive)) in literals.iter().enumerate().skip(common) {
             let euf_mark = euf.mark();
-            let mut arith_terms = Vec::new();
-            let parts_before = arith_parts.len();
-            match checker.kinds.get(&atom) {
-                Some(AtomKind::Eq { a, b, lin }) => {
-                    if positive {
-                        euf.assert_eq(*a, *b, i);
-                        if let Some(form) = lin {
-                            arith_terms = form.terms.iter().map(|&(t, _)| t).collect();
-                            arith_parts.push(ArithPart {
-                                idx: i,
-                                form: Cow::Borrowed(form),
-                                rel: Rel::Eq,
-                                both_int: false,
-                            });
-                        }
-                    } else {
-                        euf.assert_neq(*a, *b, i);
-                        // Negative numeric equalities are covered by the
-                        // trichotomy lemmas added during lowering.
-                    }
+            let arith_terms = match checker.kinds.get(&atom) {
+                Some(AtomKind::Eq { a, b, lin }) if positive => {
+                    euf.assert_eq(*a, *b, i);
+                    lin.as_ref().map(leaves)
                 }
-                Some(AtomKind::Ineq {
-                    lin,
-                    strict,
-                    both_int,
-                }) => {
-                    let (form, rel) = if positive {
-                        (Cow::Borrowed(lin), if *strict { Rel::Lt } else { Rel::Le })
-                    } else {
-                        (
-                            Cow::Owned(lin.negated()),
-                            if *strict { Rel::Le } else { Rel::Lt },
-                        )
-                    };
-                    arith_terms = lin.terms.iter().map(|&(t, _)| t).collect();
-                    arith_parts.push(ArithPart {
-                        idx: i,
-                        form,
-                        rel,
-                        both_int: *both_int,
-                    });
+                // Negative numeric equalities are covered by the trichotomy
+                // lemmas added during lowering.
+                Some(AtomKind::Eq { a, b, .. }) => {
+                    euf.assert_neq(*a, *b, i);
+                    None
                 }
+                Some(AtomKind::Ineq { lin, .. }) => Some(leaves(lin)),
                 Some(AtomKind::Pred) | None => {
                     let target = if positive { checker.tru } else { checker.fls };
                     euf.assert_eq(atom, target, i);
+                    None
                 }
-            }
+            };
             trail.push(TrailEntry {
                 atom,
                 positive,
                 euf_mark,
                 simplex_mark: usize::MAX,
                 arith_terms,
-                has_arith: arith_parts.len() > parts_before,
             });
         }
 
         if let Some(tags) = euf.check_diseqs(tm) {
-            let conflict = conflict_lits(trail, &tags, &[]);
-            // The delta's simplex parts were never asserted; a partially
-            // asserted trail would under-constrain later rounds, so rewind
-            // the whole delta.
-            rewind(trail, euf, simplex, common);
+            // The trail stays: the next round pops only what changed.
             tel.euf_time = euf_start.elapsed();
-            return (SessionCheck::Conflict(conflict), tel, delta_lits);
+            let conflict = conflict_lits(trail, &tags, &[]);
+            return (SessionCheck::Conflict(conflict), tel, delta);
         }
         drop(euf_span);
         tel.euf_time = euf_start.elapsed();
 
         // ------------------------------------------------------- simplex phase
-        let any_arith = trail.iter().any(|e| e.has_arith);
-        if !any_arith {
-            for e in trail.iter_mut().skip(common) {
-                e.simplex_mark = simplex.mark();
-            }
-            return (SessionCheck::Consistent, tel, delta_lits);
+        if trail.iter().all(|e| e.arith_terms.is_none()) {
+            return (SessionCheck::Consistent, tel, delta);
         }
 
         let simplex_start = std::time::Instant::now();
         let mut simplex_span = ids_obs::span("simplex");
 
-        let mut parts = arith_parts.into_iter().peekable();
+        // Load the simplex parts from the watermark on: a previous round may
+        // have stopped at an EUF conflict or a load conflict.
+        let loaded = trail.partition_point(|e| e.simplex_mark != usize::MAX);
         let mut load_error: Option<Vec<usize>> = None;
-        for (i, entry) in trail.iter_mut().enumerate().skip(common) {
+        for (i, entry) in trail.iter_mut().enumerate().skip(loaded) {
             entry.simplex_mark = simplex.mark();
-            let part = match parts.peek() {
-                Some(p) if p.idx == i => parts.next().expect("peeked"),
+            // `form rel 0`, negated for a negative inequality: the negation
+            // of `a ≤ b` (`a − b ≤ 0`) is `−(a − b) < 0`.
+            let (form, negate, rel, both_int) = match checker.kinds.get(&entry.atom) {
+                Some(AtomKind::Eq { lin: Some(f), .. }) if entry.positive => {
+                    (f, false, Rel::Eq, false)
+                }
+                Some(AtomKind::Ineq {
+                    lin,
+                    strict,
+                    both_int,
+                }) => {
+                    let rel = if *strict == entry.positive {
+                        Rel::Lt
+                    } else {
+                        Rel::Le
+                    };
+                    (lin, !entry.positive, rel, *both_int)
+                }
                 _ => continue,
             };
+            let sign = |q: Rat| if negate { -q } else { q };
             let mut expr = LinExpr::zero();
-            expr.constant = part.form.constant;
-            for &(leaf, coeff) in &part.form.terms {
+            expr.constant = sign(form.constant);
+            for &(leaf, coeff) in &form.terms {
                 let v = *var_of_term.entry(leaf).or_insert_with(|| {
                     simplex.new_var(*checker.leaf_is_int.get(&leaf).unwrap_or(&false))
                 });
-                expr.add_term(coeff, v);
+                expr.add_term(sign(coeff), v);
             }
             // Strict integer inequalities are tightened to non-strict ones
             // (`a < b` becomes `a + 1 <= b`), exactly like the batch path.
-            let rel = if part.rel == Rel::Lt && part.both_int {
+            let rel = if rel == Rel::Lt && both_int {
                 expr.constant += Rat::ONE;
                 Rel::Le
             } else {
-                part.rel
+                rel
             };
-            if let Err(tags) = simplex.add_constraint(&expr, rel, part.idx) {
+            if let Err(tags) = simplex.add_constraint(&expr, rel, i) {
+                // Undo the half-loaded literal (an equality asserts two
+                // bounds), keeping the loaded entries a prefix.
+                simplex.undo_to(entry.simplex_mark);
+                entry.simplex_mark = usize::MAX;
                 load_error = Some(tags);
                 break;
             }
@@ -662,10 +658,7 @@ impl TheorySession {
             tel.pivots = round_pivots;
             tel.simplex_time = simplex_start.elapsed();
             let conflict = conflict_lits(trail, &tags, &[]);
-            // A literal may assert two bounds (an equality); failing halfway
-            // through must not leave a half-asserted literal on the trail.
-            rewind(trail, euf, simplex, common);
-            return (SessionCheck::Conflict(conflict), tel, delta_lits);
+            return (SessionCheck::Conflict(conflict), tel, delta);
         }
 
         // Propagate EUF-derived equalities between the numeric leaf terms of
@@ -676,11 +669,9 @@ impl TheorySession {
         let mut derived_explanations: Vec<Vec<usize>> = Vec::new();
         let mut seen: FxHashMap<TermId, ()> = FxHashMap::default();
         let mut terms_in_order: Vec<TermId> = Vec::new();
-        for e in trail.iter() {
-            for &t in &e.arith_terms {
-                if seen.insert(t, ()).is_none() {
-                    terms_in_order.push(t);
-                }
+        for &t in trail.iter().flat_map(|e| e.arith_terms.iter().flatten()) {
+            if seen.insert(t, ()).is_none() {
+                terms_in_order.push(t);
             }
         }
         let mut by_class: FxHashMap<usize, Vec<TermId>> = FxHashMap::default();
@@ -720,14 +711,13 @@ impl TheorySession {
             }
         };
         // Retract the derived equalities; the trail literals themselves are
-        // fully asserted and stay (also on Conflict/Unknown — the next round
-        // retracts whatever the SAT core changes).
+        // fully asserted and stay.
         simplex.undo_to(derived_mark);
         let round_pivots = simplex.pivots - pivots_before;
         simplex_span.note(|| format!("pivots={}", round_pivots));
         tel.pivots = round_pivots;
         tel.simplex_time = simplex_start.elapsed();
-        (outcome, tel, delta_lits)
+        (outcome, tel, delta)
     }
 }
 
@@ -758,18 +748,6 @@ fn conflict_lits(
     idxs.into_iter()
         .map(|t| (trail[t].atom, trail[t].positive))
         .collect()
-}
-
-/// Retracts every trail entry from `common` on, restoring EUF and simplex to
-/// the state before the round's delta was asserted.
-fn rewind(trail: &mut Vec<TrailEntry>, euf: &mut EufState, simplex: &mut Simplex, common: usize) {
-    if trail.len() > common {
-        euf.undo_to(trail[common].euf_mark);
-        if trail[common].simplex_mark != usize::MAX {
-            simplex.undo_to(trail[common].simplex_mark);
-        }
-        trail.truncate(common);
-    }
 }
 
 #[cfg(test)]
@@ -1008,9 +986,33 @@ mod tests {
         );
     }
 
+    /// Asserts that two sessions hold identical EUF structures.
+    fn assert_same_euf(a: &TheorySession, b: &TheorySession, context: &str) {
+        let (a, b) = (a.euf.as_ref().expect("euf"), b.euf.as_ref().expect("euf"));
+        assert_eq!(a.parent, b.parent, "{context}: union-find links");
+        assert_eq!(a.size, b.size, "{context}: class sizes");
+        assert_eq!(a.use_lists, b.use_lists, "{context}: use lists");
+        assert_eq!(a.sig_table, b.sig_table, "{context}: signature table");
+        assert_eq!(a.diseqs, b.diseqs, "{context}: disequalities");
+        assert_eq!(a.eq_tags, b.eq_tags, "{context}: equation tags");
+        assert_eq!(a.undo.len(), b.undo.len(), "{context}: undo trail length");
+    }
+
+    /// Length of the loaded simplex prefix; checks that it is a prefix.
+    fn simplex_watermark(s: &TheorySession) -> usize {
+        let loaded = s.trail.partition_point(|e| e.simplex_mark != usize::MAX);
+        let rest = &s.trail[loaded..];
+        assert!(
+            rest.iter().all(|e| e.simplex_mark == usize::MAX),
+            "not a prefix"
+        );
+        loaded
+    }
+
     /// Exact-undo check on the internals: push a round, retract it by running
     /// a round with the old literals, and compare every EUF structure field
-    /// against a snapshot taken before the push.
+    /// against a snapshot taken before the push. Conflicting rounds are
+    /// compared too: their literals stay on the trail.
     #[test]
     fn undo_restores_euf_state_exactly() {
         let (tm, atoms) = mixed_universe();
@@ -1019,45 +1021,29 @@ mod tests {
         let mut rng = Rng(0x0123_4567_89ab_cdef);
         let mut session = TheorySession::new(PivotRule::Bland);
         let mut literals: Vec<(TermId, bool)> = Vec::new();
-        let mut compared = 0;
-        for _ in 0..400 {
+        let (mut conflicts, mut simplex_compared) = (0, 0);
+        for round in 0..400 {
             evolve(&mut rng, &atoms, &mut literals);
             let (res, _, _) = session.check_round(&tm, &checker, &literals);
-            if matches!(res, SessionCheck::Conflict(_)) {
-                // Conflicting rounds may rewind their delta; skip the
-                // push/pop comparison and keep evolving.
-                continue;
-            }
+            conflicts += matches!(res, SessionCheck::Conflict(_)) as usize;
             let snapshot = session.clone();
             let mut extended = literals.clone();
             evolve(&mut rng, &atoms, &mut extended);
             session.check_round(&tm, &checker, &extended);
             // Retract by re-checking the original sequence.
             session.check_round(&tm, &checker, &literals);
-            let (a, b) = (
-                session.euf.as_ref().expect("euf"),
-                snapshot.euf.as_ref().expect("euf"),
-            );
-            assert_eq!(a.parent, b.parent, "union-find links");
-            assert_eq!(a.size, b.size, "class sizes");
-            assert_eq!(a.use_lists, b.use_lists, "use lists");
-            assert_eq!(a.sig_table, b.sig_table, "signature table");
-            assert_eq!(a.diseqs, b.diseqs, "disequalities");
-            assert_eq!(a.eq_tags, b.eq_tags, "equation tags");
-            assert_eq!(a.undo.len(), b.undo.len(), "undo trail length");
-            assert_eq!(
-                session.trail_len(),
-                snapshot.trail_len(),
-                "session trail length"
-            );
-            assert_eq!(
-                session.simplex.mark(),
-                snapshot.simplex.mark(),
-                "simplex bound trail length"
-            );
-            compared += 1;
+            assert_same_euf(&session, &snapshot, &format!("round {round}"));
+            assert_eq!(session.trail_len(), literals.len(), "round {round}");
+            // After an EUF conflict the loaded simplex prefix depends on what
+            // earlier rounds loaded; equal prefixes must hold equal bounds.
+            if simplex_watermark(&session) == simplex_watermark(&snapshot) {
+                let marks = (session.simplex.mark(), snapshot.simplex.mark());
+                assert_eq!(marks.0, marks.1, "round {round}: simplex bound trail");
+                simplex_compared += 1;
+            }
         }
-        assert!(compared >= 30, "too few comparable rounds: {compared}");
+        assert!(conflicts >= 20, "too few conflict rounds: {conflicts}");
+        assert!(simplex_compared >= 30, "too few simplex comparisons");
     }
 
     /// Directed regression: a linear form whose terms cancel entirely (the
@@ -1085,7 +1071,7 @@ mod tests {
     }
 
     /// Directed: a congruence conflict discovered only after a retraction
-    /// swapped which equality chain is asserted.
+    /// swapped which equality chain is asserted, then retracted in turn.
     #[test]
     fn congruence_conflict_across_retraction() {
         let mut tm = TermManager::new();
@@ -1117,38 +1103,51 @@ mod tests {
             other => panic!("expected conflict, got {other:?}"),
         }
         // Old trail shared the [(eq_xy, true)] prefix: popped 1, pushed 2.
-        assert_eq!(delta, 3);
+        assert_eq!((delta.retracted, delta.asserted), (1, 2));
+        // Round 3: the conflict left its literals asserted, so dropping the
+        // last one is a delta of one, and the state equals a fresh replay.
+        let (res, _, delta) = session.check_round(&tm, &checker, &r2[..2]);
+        assert!(matches!(res, SessionCheck::Consistent), "{res:?}");
+        assert_eq!((delta.retracted, delta.asserted), (1, 0));
+        let mut fresh = TheorySession::new(PivotRule::Bland);
+        fresh.check_round(&tm, &checker, &r2[..2]);
+        assert_same_euf(&session, &fresh, "after the retraction");
     }
 
     /// Directed: warm simplex restart keeps bounds of retained literals and
-    /// retracts only the popped ones.
+    /// retracts only the popped ones. `x = 5` asserts `x <= 5`, then
+    /// `x >= 5`, which conflicts with `x <= 3`: only the equality is left
+    /// unloaded, and retracting it leaves the bounds of a fresh replay.
     #[test]
     fn simplex_bounds_retract_with_their_literals() {
         let mut tm = TermManager::new();
         let x = tm.var("x", Sort::Int);
-        let five = tm.int(5);
+        let y = tm.var("y", Sort::Int);
         let three = tm.int(3);
+        let five = tm.int(5);
         let le3 = tm.le(x, three);
-        let ge5 = tm.ge(x, five);
-        let checker = TheoryChecker::new(&mut tm, &[le3, ge5]);
+        let y_ge3 = tm.ge(y, three);
+        let eq5 = tm.eq(x, five);
+        let checker = TheoryChecker::new(&mut tm, &[le3, y_ge3, eq5]);
         let mut session = TheorySession::new(PivotRule::Bland);
-        // x <= 3 alone: consistent.
-        let (res, _, _) = session.check_round(&tm, &checker, &[(le3, true)]);
-        assert!(matches!(res, SessionCheck::Consistent));
-        // + x >= 5: conflict {x<=3, x>=5}.
-        let (res, _, _) = session.check_round(&tm, &checker, &[(le3, true), (ge5, true)]);
-        match res {
-            SessionCheck::Conflict(mut c) => {
-                c.sort();
-                let mut want = vec![(le3, true), (ge5, true)];
-                want.sort();
-                assert_eq!(c, want);
-            }
-            other => panic!("expected conflict, got {other:?}"),
-        }
-        // Retract x <= 3, keep x >= 5: consistent again — the old bound must
+        let lits = [(le3, true), (y_ge3, true), (eq5, true)];
+        let (res, _, _) = session.check_round(&tm, &checker, &lits);
+        let SessionCheck::Conflict(mut c) = res else {
+            panic!("expected conflict, got {res:?}")
+        };
+        c.sort();
+        assert_eq!(c, vec![(le3, true), (eq5, true)]);
+        assert_eq!(simplex_watermark(&session), 2, "only the equality unloaded");
+        // Retract the equality alone: consistent, with a fresh replay's bounds.
+        let (res, _, delta) = session.check_round(&tm, &checker, &lits[..2]);
+        assert!(matches!(res, SessionCheck::Consistent), "{res:?}");
+        assert_eq!((delta.retracted, delta.asserted), (1, 0));
+        let mut fresh = TheorySession::new(PivotRule::Bland);
+        fresh.check_round(&tm, &checker, &lits[..2]);
+        assert_eq!(session.simplex.mark(), fresh.simplex.mark());
+        // Retract x <= 3, keep x = 5: consistent again — the old bound must
         // not linger in the warm-restarted tableau.
-        let (res, _, _) = session.check_round(&tm, &checker, &[(ge5, true)]);
+        let (res, _, _) = session.check_round(&tm, &checker, &lits[1..]);
         assert!(matches!(res, SessionCheck::Consistent), "{res:?}");
     }
 

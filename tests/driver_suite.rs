@@ -205,3 +205,35 @@ fn failing_methods_keep_failing_under_the_driver() {
     }
     assert!(!batch.all_verified());
 }
+
+/// The incremental theory session asserts only the per-round delta: keeping
+/// its trail across theory conflicts lets consecutive rounds share the
+/// prefix the SAT backjump kept. Pinned on SLL `insert_front`, whose VCs
+/// take hundreds of theory rounds each; the solver is deterministic, so the
+/// ratio is a fixed figure (0.27).
+#[test]
+fn theory_session_asserts_only_the_delta() {
+    let ids = lists::singly_linked_list();
+    let selections = vec![Selection {
+        name: "Singly-Linked List",
+        definition: &ids,
+        methods_src: lists::SINGLY_LINKED_LIST_METHODS,
+        methods: vec!["insert_front".into()],
+    }];
+    let config = DriverConfig {
+        jobs: 1,
+        ..DriverConfig::default()
+    };
+    let batch = verify_selections(&selections, &config);
+    assert!(batch.all_verified(), "{:?}", batch.errors);
+    let stats = batch.stats.solver;
+    assert!(stats.theory_rounds > 100, "{stats:?}");
+    assert!(stats.theory_lits > 0, "{stats:?}");
+    let ratio = stats.theory_lits_asserted as f64 / stats.theory_lits as f64;
+    assert!(
+        ratio < 0.5,
+        "asserted {} of {} literals handed to the session ({ratio:.2})",
+        stats.theory_lits_asserted,
+        stats.theory_lits
+    );
+}

@@ -50,7 +50,7 @@ fn sample_vc(key: u128, solve_ms: f64, euf_s: f64) -> VcLedgerEntry {
         queue_ms: 0.25,
         solve_ms,
         phases: [0.001, 0.0625, euf_s, 0.03125, 0.015625],
-        solver: [9, 8, 7, 6, 5, 40, 3, 2, 1, 11, 2, 1, 6],
+        solver: [9, 8, 7, 6, 5, 40, 3, 2, 1, 11, 2, 1, 6, 1200, 340],
         core: None,
         hists,
     }
@@ -94,18 +94,35 @@ fn schema_round_trips_exactly() {
     assert_eq!(parsed.vcs[2].core.as_deref(), Some(&[][..]));
 }
 
-/// Schema-1 lines (pre unsat-core counters) and schema-2 lines (pre slice
-/// counters and per-VC cores) must keep parsing so the CI baseline and local
-/// history ledgers written before the v3 bump stay comparable; the fields
-/// they lack read back as zero / `None`.
+/// Schema-1 lines (pre unsat-core counters), schema-2 lines (pre slice
+/// counters and per-VC cores) and schema-3 lines (pre theory-literal
+/// counters) must keep parsing so the CI baseline and local history ledgers
+/// written before the v4 bump stay comparable; the fields they lack read
+/// back as zero / `None`.
 #[test]
 fn older_schema_lines_still_parse_with_zeroed_new_fields() {
     let record = sample_record(7, 50.0, 0.01);
     let idx = |name: &str| SOLVER_COUNTERS.iter().position(|&c| c == name).unwrap();
     const SLICE_TOKENS: &str = ",\"slice_hits\":2,\"slice_fallbacks\":1,\"slice_dropped_hyps\":6";
+    const LIT_TOKENS: &str = ",\"theory_lits\":1200,\"theory_lits_asserted\":340";
 
-    // Rewrite the line into its v2 form: old schema tag, no slice counters.
+    // Rewrite the line into its v3 form: old schema tag, no theory-literal
+    // counters.
+    let mut v3 = record.to_json_line();
+    v3 = v3.replacen(&format!("\"schema\":{}", LEDGER_SCHEMA), "\"schema\":3", 1);
+    v3 = v3.replace(LIT_TOKENS, "");
+    assert!(!v3.contains("theory_lits"), "v3 line built incorrectly");
+    let parsed = RunRecord::parse(&v3).expect("v3 line parses");
+    assert_eq!(parsed.schema, 3);
+    for vc in &parsed.vcs {
+        assert_eq!(vc.solver[idx("theory_lits")], 0);
+        assert_eq!(vc.solver[idx("theory_lits_asserted")], 0);
+        assert_eq!(&vc.solver[..13], &record.vcs[0].solver[..13]);
+    }
+
+    // The v2 form additionally lacks the slice counters.
     let mut v2 = record.to_json_line();
+    v2 = v2.replace(LIT_TOKENS, "");
     v2 = v2.replacen(&format!("\"schema\":{}", LEDGER_SCHEMA), "\"schema\":2", 1);
     v2 = v2.replace(SLICE_TOKENS, "");
     assert!(!v2.contains("slice_"), "v2 line built incorrectly");
@@ -122,6 +139,7 @@ fn older_schema_lines_still_parse_with_zeroed_new_fields() {
 
     // The v1 form additionally lacks the unsat-core counters.
     let mut v1 = record.to_json_line();
+    v1 = v1.replace(LIT_TOKENS, "");
     v1 = v1.replacen(&format!("\"schema\":{}", LEDGER_SCHEMA), "\"schema\":1", 1);
     v1 = v1.replace(SLICE_TOKENS, "");
     v1 = v1.replace(",\"unsat_cores\":1,\"unsat_core_size\":11", "");

@@ -87,6 +87,43 @@ fn quantified_encoding_is_supported_but_distinct() {
     assert!(profile.sets && profile.arrays && profile.arithmetic);
 }
 
+/// The batch solver's search must not depend on hash-map iteration order:
+/// fresh `Solver`s on the same quantified VC take the same number of SAT
+/// decisions and theory rounds. `set_key` has a VC that needs a real search,
+/// whose course depends on how the congruence template numbers the atoms.
+#[test]
+fn quantified_solver_effort_is_deterministic() {
+    use intrinsic_verify::core::pipeline::{load_methods, prepare_method_in};
+    use intrinsic_verify::structures::lists;
+    use intrinsic_verify::vcgen::check_formula;
+
+    let sll = lists::singly_linked_list();
+    let merged = load_methods(&sll, lists::SINGLY_LINKED_LIST_METHODS).unwrap();
+    let config = PipelineConfig {
+        encoding: Encoding::Quantified,
+        ..PipelineConfig::default()
+    };
+    let task = prepare_method_in(&sll, &merged, "set_key", config).unwrap();
+    let mut searched = 0;
+    for (i, vc) in task.vcs.iter().enumerate() {
+        let effort: Vec<(SatResult, u64, u64)> = (0..3)
+            .map(|_| {
+                let mut tm = task.tm.clone();
+                let (result, stats) = check_formula(&mut tm, vc.formula, Encoding::Quantified);
+                (result, stats.sat_decisions, stats.theory_rounds)
+            })
+            .collect();
+        assert!(
+            effort.iter().all(|e| *e == effort[0]),
+            "set_key VC {i}: (verdict, decisions, rounds) differ across solvers: {effort:?}"
+        );
+        if effort[0].1 > 100 {
+            searched += 1;
+        }
+    }
+    assert!(searched > 0, "no set_key VC needed a real search");
+}
+
 #[test]
 fn impact_sets_checked_across_crates() {
     let results = impact::check_impact_sets(&two_field_list(), Encoding::Decidable);
