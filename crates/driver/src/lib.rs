@@ -772,15 +772,22 @@ mod tests {
         // strictly exceeds the per-method session's within-method reuse
         // (re-asserted guards), because the structure-common hypothesis
         // prelude is answered from structure scope on top of that. Fresh
-        // per-VC solving reuses nothing at all.
+        // per-VC solving reuses nothing at all: each non-cached VC check
+        // lowers exactly its one negated VC formula.
         assert!(
             structure.reports[1].solver.prelude_reused > method.reports[1].solver.prelude_reused,
             "structure {:?} vs method {:?}",
             structure.reports[1].solver,
             method.reports[1].solver
         );
+        let fresh_checks = fresh.reports[1]
+            .vc_reports
+            .iter()
+            .filter(|vc| !vc.cached)
+            .count();
+        assert!(fresh_checks > 0);
         assert_eq!(fresh.reports[1].solver.prelude_reused, 0);
-        assert_eq!(fresh.reports[1].solver.prelude_lowered, 0);
+        assert_eq!(fresh.reports[1].solver.prelude_lowered, fresh_checks as u64);
     }
 
     #[test]

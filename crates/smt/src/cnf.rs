@@ -22,18 +22,6 @@ pub struct AtomMap {
 }
 
 impl AtomMap {
-    /// The asserted theory literals in the current SAT model: pairs of an atom
-    /// term and its assigned polarity.
-    pub fn model_literals(&self, sat: &SatSolver) -> Vec<(TermId, bool)> {
-        let mut out: Vec<(TermId, bool)> = self
-            .atom_of_var
-            .iter()
-            .filter_map(|(&v, &t)| sat.value(v).map(|b| (t, b)))
-            .collect();
-        out.sort();
-        out
-    }
-
     /// The SAT literal for asserting the given atom with the given polarity.
     ///
     /// # Panics
@@ -43,26 +31,15 @@ impl AtomMap {
     }
 }
 
-/// Converts the conjunction of `roots` to CNF inside `sat`, allocating
-/// variables as needed, and returns the atom mapping.
-///
-/// The input must be ground and free of `Forall`, `Store`, `Union`, … — i.e.
-/// already processed by [`crate::lower`]. Non-Boolean `Ite` nodes must also
-/// have been eliminated.
-pub fn tseitin(tm: &TermManager, roots: &[TermId], sat: &mut SatSolver) -> AtomMap {
-    let mut map = AtomMap::default();
-    for &r in roots {
-        let l = encode(tm, r, sat, &mut map);
-        sat.add_clause(vec![l]);
-    }
-    map
-}
-
 /// Incrementally encodes one root into an existing solver + atom map and
 /// returns the literal equivalent to the root *without asserting it*. The
 /// caller decides how to assert it — as a permanent unit clause, or guarded
 /// by an activation literal for push/pop retraction. Sub-terms already encoded
 /// by earlier calls are shared.
+///
+/// The root must be ground and free of `Forall`, `Store`, `Union`, … — i.e.
+/// already processed by [`crate::lower`]. Non-Boolean `Ite` nodes must also
+/// have been eliminated.
 pub fn encode_root(tm: &TermManager, root: TermId, sat: &mut SatSolver, map: &mut AtomMap) -> Lit {
     encode(tm, root, sat, map)
 }
@@ -167,6 +144,21 @@ mod tests {
     use crate::sat::SatResult;
     use crate::term::Sort;
 
+    /// Encodes and asserts each root as a unit clause.
+    fn tseitin(tm: &TermManager, roots: &[TermId], sat: &mut SatSolver) -> AtomMap {
+        let mut map = AtomMap::default();
+        for &r in roots {
+            let l = encode_root(tm, r, sat, &mut map);
+            sat.add_clause(vec![l]);
+        }
+        map
+    }
+
+    /// The model value of an encoded atom.
+    fn value(map: &AtomMap, sat: &SatSolver, t: TermId) -> Option<bool> {
+        sat.value(map.var_of_term[&t])
+    }
+
     #[test]
     fn simple_propositional() {
         let mut tm = TermManager::new();
@@ -177,9 +169,8 @@ mod tests {
         let mut sat = SatSolver::new();
         let map = tseitin(&tm, &[f], &mut sat);
         assert_eq!(sat.solve(), SatResult::Sat);
-        let lits = map.model_literals(&sat);
-        assert!(lits.contains(&(p, false)));
-        assert!(lits.contains(&(q, true)));
+        assert_eq!(value(&map, &sat, p), Some(false));
+        assert_eq!(value(&map, &sat, q), Some(true));
     }
 
     #[test]
@@ -219,9 +210,8 @@ mod tests {
         let mut sat2 = SatSolver::new();
         let map2 = tseitin(&tm2, &[imp2, niff2], &mut sat2);
         assert_eq!(sat2.solve(), SatResult::Sat);
-        let lits = map2.model_literals(&sat2);
-        assert!(lits.contains(&(p2, false)));
-        assert!(lits.contains(&(q2, true)));
+        assert_eq!(value(&map2, &sat2, p2), Some(false));
+        assert_eq!(value(&map2, &sat2, q2), Some(true));
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! The push/pop incremental solver: shared solver state across a sequence of
-//! related queries.
+//! The push/pop incremental solver: the repository's one DPLL(T) engine, with
+//! solver state shared across a sequence of related queries.
 //!
-//! The batch [`crate::Solver`] re-lowers, re-converts and re-analyzes the
-//! whole assertion set on every `check` — the right shape for one-shot VC
-//! discharge, but wasteful when dozens of queries share a large prelude (a
-//! method's typing hypotheses, heap axioms and local-condition definitions).
-//! [`IncrementalSolver`] keeps every layer of that work alive across checks:
+//! A one-shot [`crate::Solver::check`] is one check of a fresh session. Dozens
+//! of queries that share a large prelude (a method's typing hypotheses, heap
+//! axioms and local-condition definitions) share one session instead, which
+//! keeps every layer of that work alive across checks:
 //!
 //! * **Lowering** — a persistent [`crate::lower::LowerCtx`] instantiates the
 //!   set/array axioms once per (trigger, element) pair, no matter how many
@@ -69,8 +68,9 @@
 //!   permanent (sound — and gone with the method snapshot, if one is open).
 //!
 //! Quantified formulas are not supported: asserting one puts the solver into
-//! a degraded mode where every check answers [`SatResult::Unknown`] (the
-//! quantified RQ3 encoding keeps using the batch solver).
+//! a degraded mode where every check answers [`SatResult::Unknown`]. The
+//! quantified RQ3 encoding goes through [`crate::Solver::check`], which
+//! eliminates the quantifiers of the whole query before it opens a session.
 //!
 //! # Example
 //!
@@ -714,20 +714,19 @@ impl IncrementalSolver {
                         .iter()
                         .map(|&(atom, positive)| self.atom_map.lit_of(atom, !positive))
                         .collect();
-                    if clause.is_empty() {
-                        // The theories rejected the empty literal set — the
-                        // axioms alone are inconsistent. Impossible, but be
-                        // safe.
+                    // An empty clause (the axioms alone inconsistent:
+                    // impossible, but be safe) or one falsified at the root
+                    // refutes the query without any assumption, so the
+                    // refutation's core is empty.
+                    let refuted = clause.is_empty()
+                        || !if self.config.incremental_sat {
+                            sat.add_theory_conflict(clause)
+                        } else {
+                            sat.add_clause(clause)
+                        };
+                    if refuted {
                         snapshot(stats, sat);
-                        return SatResult::Unsat;
-                    }
-                    let clause_ok = if self.config.incremental_sat {
-                        sat.add_theory_conflict(clause)
-                    } else {
-                        sat.add_clause(clause)
-                    };
-                    if !clause_ok {
-                        snapshot(stats, sat);
+                        stats.unsat_cores = 1;
                         return SatResult::Unsat;
                     }
                 }

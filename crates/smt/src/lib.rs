@@ -22,7 +22,9 @@
 //! 4. [`euf`] (congruence closure with explanations) and [`simplex`] (general
 //!    simplex over delta-rationals with branch-and-bound for integers) check
 //!    the theory consistency of propositional models and learn conflict
-//!    clauses — an *offline lazy* DPLL(T) loop driven by [`solver`].
+//!    clauses — a lazy DPLL(T) loop in [`incremental`], whose theory state
+//!    persists across rounds on a backtrackable trail. A one-shot
+//!    [`Solver::check`] is a fresh session of that loop.
 //!
 //! A bounded quantifier-instantiation engine ([`quant`]) supports the
 //! *quantified* (Dafny-style) encoding used only for the paper's RQ3

@@ -21,16 +21,6 @@ use std::collections::{HashMap, HashSet};
 
 use crate::term::{Op, Sort, TermId, TermManager};
 
-/// Lowers the conjunction of `roots`; returns the new conjunction of roots
-/// (original assertions rewritten, plus instantiated axioms).
-pub fn lower(tm: &mut TermManager, roots: &[TermId]) -> Vec<TermId> {
-    let mut ctx = LowerCtx::new();
-    let batch = ctx.add(tm, roots);
-    let mut out = batch.roots;
-    out.extend(batch.facts);
-    out
-}
-
 /// Rewrites away non-Boolean `ite` and `distinct`.
 fn rewrite(
     tm: &mut TermManager,
@@ -187,11 +177,11 @@ pub struct LoweredBatch {
 
 /// A persistent, incremental lowering context.
 ///
-/// The batch [`lower`] pass instantiates the set/array axioms over the ground
-/// index/element terms of *one* query. An incremental session instead feeds
-/// assertions in piecemeal (a method's shared hypotheses once, then each
-/// goal); this context keeps every pool, trigger and Skolem witness across
-/// calls so that each [`LowerCtx::add`] emits exactly the *new* axioms —
+/// The set/array axioms are instantiated over the ground index/element terms
+/// of the query. An incremental session feeds assertions in piecemeal (a
+/// method's shared hypotheses once, then each goal); this context keeps every
+/// pool, trigger and Skolem witness across calls so that each
+/// [`LowerCtx::add`] emits exactly the *new* axioms —
 /// the cross products `new trigger × known elements` and
 /// `known triggers × new elements` — and never re-lowers what came before.
 ///

@@ -216,6 +216,27 @@ mod tests {
     }
 
     #[test]
+    fn positive_forall_instantiation_never_yields_sat() {
+        // forall x. p(x)   together with   p(a)   is satisfiable, but a model
+        // of the finitely many instances need not satisfy the quantifier.
+        let mut tm = TermManager::new();
+        let a = tm.var("a", Sort::Loc);
+        let bx = tm.var("x", Sort::Loc);
+        let px = tm.app("p", vec![bx], Sort::Bool);
+        let all = tm.forall(vec![("x".into(), Sort::Loc)], px);
+        let pa = tm.app("p", vec![a], Sort::Bool);
+        let mut solver = Solver::with_config(SolverConfig::quantified());
+        assert_eq!(solver.check(&mut tm, &[all, pa]), SatResult::Unknown);
+        // Validity: (forall x. p(x)) -> p(a) holds, while the invalid
+        // (forall x. p(x)) -> q(a) is Unknown, not a counterexample.
+        let valid = tm.implies(all, pa);
+        assert_eq!(solver.check_valid(&mut tm, valid), SatResult::Sat);
+        let qa = tm.app("q", vec![a], Sort::Bool);
+        let invalid = tm.implies(all, qa);
+        assert_eq!(solver.check_valid(&mut tm, invalid), SatResult::Unknown);
+    }
+
+    #[test]
     fn negative_forall_skolemizes() {
         // not (forall x. p(x))  alone is satisfiable.
         let mut tm = TermManager::new();

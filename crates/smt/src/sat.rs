@@ -241,10 +241,10 @@ pub struct SatSolver {
     /// Conflict count that triggers the next `reduce_db` run.
     reduce_limit: u64,
     /// Restarts performed since the current `solve` began. Persisted across
-    /// `solve_continue`/`solve_continue_under` rounds of one solve so the
-    /// Luby sequence keeps advancing on theory-bound problems (each theory
-    /// round used to rewind the schedule to its beginning, so restarts — and
-    /// with them the `reduce_db` cadence — barely ever fired).
+    /// `solve_continue_under` rounds of one solve so the Luby sequence keeps
+    /// advancing on theory-bound problems (each theory round used to rewind
+    /// the schedule to its beginning, so restarts — and with them the
+    /// `reduce_db` cadence — barely ever fired).
     restarts_this_solve: u64,
     /// Conflict count that triggers the next restart (advances along the
     /// schedule with `restarts_this_solve`; `0` means "not yet initialised").
@@ -642,19 +642,6 @@ impl SatSolver {
         };
     }
 
-    /// Continues the search from the current trail without resetting it. Used
-    /// by the lazy DPLL(T) driver after [`SatSolver::add_theory_conflict`] so
-    /// that each theory round only repairs the part of the assignment the new
-    /// clause invalidates instead of re-enumerating the whole model.
-    pub fn solve_continue(&mut self) -> SatResult {
-        self.assumptions.clear();
-        self.unsat_core.clear();
-        if !self.ok {
-            return SatResult::Unsat;
-        }
-        self.search(u64::MAX)
-    }
-
     /// Solves under temporary assumptions: the given literals are decided
     /// before any free decision, and [`SatResult::Unsat`] means *unsatisfiable
     /// together with the assumptions* (the solver itself stays consistent and
@@ -681,9 +668,11 @@ impl SatSolver {
         r
     }
 
-    /// The assumption-aware analogue of [`SatSolver::solve_continue`]: keeps
-    /// the current trail (used between theory rounds) while re-establishing
-    /// any assumption a backjump may have undone.
+    /// Continues the search from the current trail without resetting it,
+    /// re-establishing any assumption a backjump may have undone. Used by the
+    /// lazy DPLL(T) driver after [`SatSolver::add_theory_conflict`] so that
+    /// each theory round only repairs the part of the assignment the new
+    /// clause invalidates instead of re-enumerating the whole model.
     pub fn solve_continue_under(&mut self, assumptions: &[Lit]) -> SatResult {
         self.unsat_core.clear();
         if !self.ok {
@@ -778,7 +767,7 @@ impl SatSolver {
         // continuations keep advancing the same Luby/geometric sequence (and
         // with it the clause-deletion cadence, which only fires at restarts).
         if self.restart_limit == 0 {
-            // Direct `solve_continue` without a preceding fresh solve.
+            // Direct `solve_continue_under` without a preceding fresh solve.
             self.reset_search_schedule();
         }
         let mut conflicts_here = 0u64;

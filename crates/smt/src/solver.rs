@@ -1,21 +1,20 @@
-//! The lazy DPLL(T) driver tying together lowering, CNF conversion, the CDCL
-//! SAT core and the combined theory checker.
+//! The one-shot SMT facade: solver configuration, statistics, and
+//! [`Solver`], which checks one assertion set from scratch.
 //!
-//! The loop is the classic *offline lazy SMT* scheme: find a propositional
-//! model of the lowered formula, check it against the theories, and if the
-//! theories reject it add the (negated) conflict explanation as a new clause
-//! and repeat. Because the lowering pass already instantiated all the set and
-//! array structure, termination is guaranteed for the decidable FWYB fragment
-//! (finitely many propositional models, each rejected at most once).
+//! There is one DPLL(T) engine, the trail-based loop of
+//! [`crate::IncrementalSolver`]. A [`Solver::check`] eliminates quantifiers
+//! (quantified mode only, [`crate::quant`]) and runs one check of a fresh
+//! session over the resulting ground assertions. Because the lowering pass
+//! instantiates all the set and array structure, termination is guaranteed
+//! for the decidable FWYB fragment (finitely many propositional models, each
+//! rejected at most once).
 
-use crate::cnf::{tseitin, AtomMap};
-use crate::lower::lower;
+use crate::incremental::IncrementalSolver;
 use crate::model::Model;
 use crate::quant::{contains_forall, eliminate_quantifiers, QuantConfig};
-use crate::sat::{SatOptions, SatResult, SatSolver};
+use crate::sat::{SatOptions, SatResult};
 use crate::simplex::PivotRule;
 use crate::term::{TermId, TermManager};
-use crate::theory::{TheoryCheck, TheoryChecker};
 
 /// A named bundle of search-heuristic settings (restart policy, clause
 /// database management, simplex pivot rule).
@@ -149,7 +148,8 @@ pub struct SolverStats {
     /// conflict explanation). Merge: **sum**.
     pub theory_time: std::time::Duration,
     /// Wall-clock time spent lowering assertions (set/array finite
-    /// instantiation) before CNF conversion. Merge: **sum**.
+    /// instantiation) before CNF conversion, including quantifier
+    /// instantiation in quantified mode. Merge: **sum**.
     pub lower_time: std::time::Duration,
     /// Wall-clock time of the EUF congruence passes (a component of
     /// `theory_time`). Merge: **sum**.
@@ -159,11 +159,12 @@ pub struct SolverStats {
     pub simplex_time: std::time::Duration,
     /// Assertions answered from already-lowered session state (a warm solver
     /// pool's structure-scope prelude, or any re-asserted formula whose
-    /// lowering and CNF encoding were still live). Always 0 for the batch
-    /// solver. Merge: **sum**.
+    /// lowering and CNF encoding were still live). Always 0 for a one-shot
+    /// [`Solver::check`], whose session starts empty. Merge: **sum**.
     pub prelude_reused: u64,
-    /// Assertions lowered and clause-converted fresh. Always 0 for the batch
-    /// solver (which does not count per-assertion reuse). Merge: **sum**.
+    /// Assertions lowered and clause-converted fresh. For a one-shot
+    /// [`Solver::check`], the number of ground assertions it checked (1 per
+    /// [`Solver::check_valid`]). Merge: **sum**.
     pub prelude_lowered: u64,
     /// SAT-core restarts. Merge: **sum**.
     pub restarts: u64,
@@ -178,10 +179,10 @@ pub struct SolverStats {
     /// Simplex pivots performed across all theory rounds. Merge: **sum**.
     pub pivots: u64,
     /// Unsatisfiable cores extracted from the activation-literal assumption
-    /// mechanism (at most one per check; summing over a run counts how many
-    /// VCs closed with a core). Always 0 for the batch solver, which asserts
-    /// clauses directly instead of assuming activation literals. Merge:
-    /// **sum**.
+    /// mechanism (one per Unsat check, possibly empty; summing over a run
+    /// counts how many VCs closed with a core). A one-shot [`Solver::check`]
+    /// assumes nothing, so the core of its refutation is empty: 1 here, 0 in
+    /// `unsat_core_size`. Merge: **sum**.
     pub unsat_cores: u64,
     /// Size of the largest extracted unsat core (number of assumption
     /// literals the refutation actually used; 0 when no core was extracted
@@ -189,25 +190,24 @@ pub struct SolverStats {
     /// Merge: **max**.
     pub unsat_core_size: u64,
     /// Checks discharged from a *sliced* hypothesis selection (a cached unsat
-    /// core) without needing the full hypothesis set. Always 0 for the batch
-    /// solver. Merge: **sum**.
+    /// core) without needing the full hypothesis set. Always 0 for a one-shot
+    /// [`Solver::check`], which does not slice. Merge: **sum**.
     pub slice_hits: u64,
     /// Sliced checks that were inconclusive and fell back to the full
     /// hypothesis set (the sound fallback: dropping hypotheses only weakens
     /// the antecedent, so only a Valid slice verdict is conclusive). Always 0
-    /// for the batch solver. Merge: **sum**.
+    /// for a one-shot [`Solver::check`]. Merge: **sum**.
     pub slice_fallbacks: u64,
     /// Hypotheses that a successful slice never asserted (summed over all
-    /// slice hits; the saving the cached cores bought). Always 0 for the
-    /// batch solver. Merge: **sum**.
+    /// slice hits; the saving the cached cores bought). Always 0 for a
+    /// one-shot [`Solver::check`]. Merge: **sum**.
     pub slice_dropped_hyps: u64,
-    /// Literals handed to the incremental theory session, summed over the
-    /// theory rounds. Always 0 for the batch solver, which has no session.
-    /// Merge: **sum**.
+    /// Literals handed to the trail-based theory session, summed over the
+    /// theory rounds. Merge: **sum**.
     pub theory_lits: u64,
     /// Of `theory_lits`, the literals the session actually asserted: those
-    /// past the prefix it shared with the previous round's trail. Always 0
-    /// for the batch solver. Merge: **sum**.
+    /// past the prefix it shared with the previous round's trail.
+    /// Merge: **sum**.
     pub theory_lits_asserted: u64,
 }
 
@@ -290,18 +290,26 @@ impl Solver {
         self.model.as_ref()
     }
 
-    /// Checks satisfiability of the conjunction of `assertions`.
+    /// Checks satisfiability of the conjunction of `assertions`: quantifier
+    /// elimination (quantified mode only), then one check of a fresh
+    /// [`IncrementalSolver`] session over the ground assertions.
     pub fn check(&mut self, tm: &mut TermManager, assertions: &[TermId]) -> SatResult {
         self.stats = SolverStats::default();
         self.model = None;
 
         let has_quant = assertions.iter().any(|&a| contains_forall(tm, a));
         let mut approximate = false;
+        let mut quant_time = std::time::Duration::ZERO;
         let assertions: Vec<TermId> = if has_quant {
             if !self.config.allow_quantifiers {
                 return SatResult::Unknown;
             }
-            let (out, approx) = eliminate_quantifiers(tm, assertions, self.config.quant);
+            let quant_start = std::time::Instant::now();
+            let (out, approx) = {
+                let _obs = ids_obs::span("quant");
+                eliminate_quantifiers(tm, assertions, self.config.quant)
+            };
+            quant_time = quant_start.elapsed();
             approximate = approx;
             out
         } else {
@@ -315,149 +323,19 @@ impl Solver {
             .filter(|&a| !contains_forall(tm, a))
             .collect();
 
-        let lower_start = std::time::Instant::now();
-        let roots = {
-            let _obs = ids_obs::span("lower");
-            lower(tm, &assertions)
-        };
-        self.stats.lower_time = lower_start.elapsed();
-
-        let mut sat = SatSolver::with_options(self.config.sat);
-        let atom_map: AtomMap = {
-            let _obs = ids_obs::span("cnf");
-            tseitin(tm, &roots, &mut sat)
-        };
-        self.stats.initial_clauses = sat.num_clauses() as u64;
-        self.stats.atoms = atom_map.atom_of_var.len() as u64;
-
-        // The expensive per-atom setup (term universe, congruence template,
-        // linearized arithmetic forms) is done once; every theory round below
-        // only resets the cheap mutable state.
-        // Atoms in SAT-variable order: the congruence template numbers its
-        // nodes in this order, so a hash-map order would make the search
-        // differ from one `Solver` to the next.
-        let mut by_var: Vec<_> = atom_map.atom_of_var.iter().collect();
-        by_var.sort_unstable();
-        let atoms: Vec<TermId> = by_var.into_iter().map(|(_, &t)| t).collect();
-        let checker = TheoryChecker::new(tm, &atoms);
-
-        for round in 0..self.config.max_theory_rounds {
-            self.stats.theory_rounds = round as u64 + 1;
-            let sat_start = std::time::Instant::now();
-            // The first round builds a full model; later rounds continue the
-            // search from wherever the last theory conflict clause left it.
-            let sat_result = if round == 0 || !self.config.incremental_sat {
-                sat.solve()
-            } else {
-                sat.solve_continue()
-            };
-            self.stats.sat_time += sat_start.elapsed();
-            match sat_result {
-                SatResult::Unsat => {
-                    self.snapshot_sat(&sat);
-                    return SatResult::Unsat;
-                }
-                SatResult::Unknown => {
-                    self.snapshot_sat(&sat);
-                    return SatResult::Unknown;
-                }
-                SatResult::Sat => {}
-            }
-            let literals = atom_map.model_literals(&sat);
-            let theory_start = std::time::Instant::now();
-            let (theory_result, theory_tel) = checker.check_with(tm, &literals, self.config.pivot);
-            let theory_elapsed = theory_start.elapsed();
-            self.stats.theory_time += theory_elapsed;
-            self.stats.pivots += theory_tel.pivots;
-            self.stats.euf_time += theory_tel.euf_time;
-            self.stats.simplex_time += theory_tel.simplex_time;
-            if ids_obs::metrics_active() {
-                ids_obs::record_metric(
-                    ids_obs::Metric::TheoryRoundUs,
-                    theory_elapsed.as_micros() as u64,
-                );
-                ids_obs::record_metric(ids_obs::Metric::PivotsPerRound, theory_tel.pivots);
-            }
-            if ids_obs::heartbeat_interval() != 0 {
-                ids_obs::emit_heartbeat(ids_obs::Heartbeat {
-                    conflicts: sat.conflicts,
-                    decisions: sat.decisions,
-                    propagations: sat.propagations,
-                    restarts: sat.restarts,
-                    learned: sat.num_learned() as u64,
-                    theory_rounds: self.stats.theory_rounds,
-                    pivots: self.stats.pivots,
-                    ..ids_obs::Heartbeat::default()
-                });
-            }
-            match theory_result {
-                TheoryCheck::Consistent => {
-                    self.snapshot_sat(&sat);
-                    self.model = Some(Model::new(literals));
-                    // Positive-forall instantiation is incomplete: a model of
-                    // the instances is not necessarily a model of the original
-                    // formula, so report Unknown in that case.
-                    return if approximate {
-                        SatResult::Unknown
-                    } else {
-                        SatResult::Sat
-                    };
-                }
-                TheoryCheck::Unknown => {
-                    if std::env::var("IDS_SMT_DEBUG").is_ok() {
-                        for (t, b) in &literals {
-                            eprintln!(
-                                "UNKNOWN-LIT {} {}",
-                                b,
-                                crate::smtlib::term_to_smtlib(tm, *t)
-                            );
-                        }
-                    }
-                    self.snapshot_sat(&sat);
-                    return SatResult::Unknown;
-                }
-                TheoryCheck::Conflict(indices) => {
-                    // Add the blocking clause: the negation of the conflicting
-                    // literal subset.
-                    let clause: Vec<_> = indices
-                        .iter()
-                        .map(|&i| {
-                            let (atom, positive) = literals[i];
-                            atom_map.lit_of(atom, !positive)
-                        })
-                        .collect();
-                    if clause.is_empty() {
-                        // Theories rejected the empty set: the axioms alone
-                        // are inconsistent — impossible, but be safe.
-                        self.snapshot_sat(&sat);
-                        return SatResult::Unsat;
-                    }
-                    let clause_ok = if self.config.incremental_sat {
-                        sat.add_theory_conflict(clause)
-                    } else {
-                        sat.add_clause(clause)
-                    };
-                    if !clause_ok {
-                        self.snapshot_sat(&sat);
-                        return SatResult::Unsat;
-                    }
-                }
-            }
+        let mut session = IncrementalSolver::with_config(self.config);
+        session.assert_all(tm, &assertions);
+        let result = session.check(tm);
+        self.stats = session.stats();
+        self.stats.lower_time += quant_time;
+        self.model = session.model().cloned();
+        // Positive-forall instantiation is incomplete: a model of the
+        // instances is not necessarily a model of the original formula.
+        if result == SatResult::Sat && approximate {
+            SatResult::Unknown
+        } else {
+            result
         }
-        // Theory-round budget exhausted.
-        self.snapshot_sat(&sat);
-        SatResult::Unknown
-    }
-
-    /// Copies the SAT core's counters into the stats record.
-    fn snapshot_sat(&mut self, sat: &SatSolver) {
-        self.stats.sat_conflicts = sat.conflicts;
-        self.stats.sat_decisions = sat.decisions;
-        self.stats.sat_propagations = sat.propagations;
-        self.stats.restarts = sat.restarts;
-        self.stats.learned_kept = sat.num_learned() as u64;
-        self.stats.learned_deleted = sat.learned_deleted;
-        self.stats.max_lbd = sat.max_lbd as u64;
     }
 
     /// Convenience wrapper: checks whether `formula` is valid (its negation is
@@ -525,6 +403,31 @@ mod tests {
         acc.merge(&stats);
         assert_eq!(acc.sat_propagations, 2 * stats.sat_propagations);
         assert_eq!(acc.theory_rounds, 2 * stats.theory_rounds);
+    }
+
+    /// A one-shot check is a fresh session: it lowers each assertion once,
+    /// reuses and slices nothing, feeds the theory trail, and closes an Unsat
+    /// check with an empty core (it assumes no activation literal).
+    #[test]
+    fn one_shot_check_reports_session_counters() {
+        let mut tm = TermManager::new();
+        let x = tm.var("x", Sort::Loc);
+        let y = tm.var("y", Sort::Loc);
+        let fx = tm.app("f", vec![x], Sort::Int);
+        let fy = tm.app("f", vec![y], Sort::Int);
+        let eq = tm.eq(x, y);
+        let eqf = tm.eq(fx, fy);
+        let imp = tm.implies(eq, eqf);
+        let mut s = Solver::new();
+        assert_eq!(s.check_valid(&mut tm, imp), SatResult::Sat);
+        let stats = s.stats();
+        assert_eq!(stats.prelude_lowered, 1, "{stats:?}");
+        assert_eq!(stats.prelude_reused, 0, "{stats:?}");
+        assert_eq!(stats.unsat_cores, 1, "{stats:?}");
+        assert_eq!(stats.unsat_core_size, 0, "{stats:?}");
+        assert_eq!(stats.slice_hits + stats.slice_fallbacks, 0, "{stats:?}");
+        assert!(stats.theory_lits >= stats.theory_lits_asserted, "{stats:?}");
+        assert!(stats.theory_lits_asserted > 0, "{stats:?}");
     }
 
     #[test]
@@ -737,8 +640,8 @@ mod tests {
         }
         assert_eq!(method.unsat_cores, 3, "one core per UNSAT VC, summed");
         assert_eq!(method.unsat_core_size, 11, "gauge keeps the largest core");
-        // A VC refuted without any core (unsatisfiable from the clause set
-        // alone, no assumption used) contributes nothing to either field.
+        // A check that closed without a core (not Unsat) contributes
+        // nothing to either field.
         method.merge(&SolverStats::default());
         assert_eq!(method.unsat_cores, 3);
         assert_eq!(method.unsat_core_size, 11);

@@ -13,10 +13,12 @@
 //! needed for FWYB verification conditions and is intentionally omitted; the
 //! trichotomy lemmas added by the lowering pass cover the common cases.
 //!
-//! The lazy DPLL(T) loop calls the checker once per propositional model, so
-//! everything that only depends on the *atoms* (term universe, congruence
-//! template, linearized arithmetic forms) is precomputed once per solver call
-//! in a [`TheoryChecker`] and reused across rounds.
+//! Everything that only depends on the *atoms* (term universe, congruence
+//! template, linearized arithmetic forms) is precomputed once per session in
+//! a [`TheoryChecker`] and reused across rounds by the trail-based theory
+//! session of the DPLL(T) loop. [`TheoryChecker::check_with`] decides one
+//! model from scratch: the stateless reference that the session's
+//! differential fuzzes and the `IDS_TRAIL_ORACLE` hook compare against.
 
 use crate::euf::{Euf, EufOutcome, EufTemplate};
 use crate::fxmap::FxHashMap;

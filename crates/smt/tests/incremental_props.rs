@@ -1,12 +1,16 @@
 //! Property tests for the incremental solver: on randomly generated
 //! assertion/goal sequences over the decidable fragment (EUF + arithmetic +
 //! sets), a push/pop session must return exactly the verdicts of a fresh
-//! batch solver run on the equivalent one-shot query — after any number of
-//! earlier checks and retractions have warmed the session's state.
+//! one-shot session run on the equivalent one-shot query — after any number
+//! of earlier checks and retractions have warmed the session's state. Every
+//! model a fresh check returns is re-checked by the stateless theory checker,
+//! so the reference does not rest on the trail session alone.
 
 use ids_smt::sat::{ClauseDbOptions, RestartPolicy, SatOptions};
+use ids_smt::theory::{TheoryCheck, TheoryChecker};
 use ids_smt::{
-    IncrementalSolver, PivotRule, Solver, SolverConfig, SolverProfile, Sort, TermId, TermManager,
+    IncrementalSolver, PivotRule, SatResult, Solver, SolverConfig, SolverProfile, Sort, TermId,
+    TermManager,
 };
 use proptest::prelude::*;
 
@@ -90,6 +94,24 @@ impl Universe {
     }
 }
 
+/// Re-checks the model of the solver's last Sat answer, if any, with the
+/// stateless theory checker, which must find its literals consistent.
+fn recheck_model(tm: &mut TermManager, solver: &Solver) {
+    let Some(model) = solver.model() else { return };
+    let literals: Vec<(TermId, bool)> = model.iter().copied().collect();
+    let atoms: Vec<TermId> = literals.iter().map(|&(atom, _)| atom).collect();
+    let (verdict, _) = TheoryChecker::new(tm, &atoms).check_with(tm, &literals, PivotRule::Bland);
+    assert_eq!(verdict, TheoryCheck::Consistent, "model {literals:?}");
+}
+
+/// A fresh one-shot check of `assertions`, its model re-checked.
+fn fresh_check(tm: &mut TermManager, assertions: &[TermId]) -> SatResult {
+    let mut solver = Solver::new();
+    let verdict = solver.check(tm, assertions);
+    recheck_model(tm, &solver);
+    verdict
+}
+
 /// One random ground formula of the decidable fragment.
 fn random_formula(rng: &mut XorShift, tm: &mut TermManager, u: &Universe, depth: u32) -> TermId {
     if depth > 0 && rng.below(2) == 0 {
@@ -164,7 +186,7 @@ proptest! {
 
             let mut fresh_query = permanent.clone();
             fresh_query.push(goal);
-            let fresh = Solver::new().check(&mut tm, &fresh_query);
+            let fresh = fresh_check(&mut tm, &fresh_query);
             prop_assert_eq!(
                 incremental,
                 fresh,
@@ -176,7 +198,7 @@ proptest! {
             // The session must also agree on the permanent set alone after
             // the pop (retraction really retracts).
             let after_pop = session.check(&mut tm);
-            let fresh_base = Solver::new().check(&mut tm, &permanent);
+            let fresh_base = fresh_check(&mut tm, &permanent);
             prop_assert_eq!(after_pop, fresh_base, "seed {} diverged after pop", seed);
         }
     }
@@ -218,7 +240,7 @@ proptest! {
                 let mut fresh_query = prelude.clone();
                 fresh_query.extend(&residue);
                 fresh_query.push(goal);
-                let fresh = Solver::new().check(&mut tm, &fresh_query);
+                let fresh = fresh_check(&mut tm, &fresh_query);
                 prop_assert_eq!(
                     pooled,
                     fresh,
@@ -230,7 +252,7 @@ proptest! {
             }
             pool.pop_method_scope();
             let after = pool.check(&mut tm);
-            let fresh_base = Solver::new().check(&mut tm, &prelude);
+            let fresh_base = fresh_check(&mut tm, &prelude);
             prop_assert_eq!(after, fresh_base, "seed {} diverged after rollback", seed);
         }
     }
@@ -272,7 +294,7 @@ proptest! {
         }
     }
 
-    /// `check_valid_scoped` agrees with the batch solver's `check_valid` on
+    /// `check_valid_scoped` agrees with the one-shot `check_valid` on
     /// hypothesis-entailment queries (the VC shape).
     #[test]
     fn scoped_validity_matches_check_valid(seed in 0u64..48) {
@@ -293,7 +315,9 @@ proptest! {
                 let ante = tm.and(hyps.clone());
                 tm.implies(ante, goal)
             };
-            let fresh = Solver::new().check_valid(&mut tm, formula);
+            let mut solver = Solver::new();
+            let fresh = solver.check_valid(&mut tm, formula);
+            recheck_model(&mut tm, &solver);
             prop_assert_eq!(scoped, fresh, "seed {} diverged", seed);
         }
     }

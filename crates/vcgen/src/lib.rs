@@ -187,8 +187,10 @@ pub struct VcSession {
 
 impl VcSession {
     /// True if the encoding can be discharged incrementally. The quantified
-    /// (Dafny-style) RQ3 encoding performs whole-query quantifier
-    /// instantiation and keeps using the fresh-solver path.
+    /// (Dafny-style) RQ3 encoding instantiates quantifiers over the ground
+    /// terms of each whole query, so sharing hypotheses across VCs would
+    /// change the instances and with them the verdicts: it checks each VC
+    /// with a fresh one-shot [`Solver`] (a fresh session of the same engine).
     pub fn supports(encoding: Encoding) -> bool {
         encoding == Encoding::Decidable
     }
@@ -836,7 +838,7 @@ mod tests {
         // Three methods of one "structure" — including one with a refuted VC
         // in the middle — checked through ONE structure-pool session over a
         // shared imported term manager: every verdict must match a fresh
-        // batch solver on the self-contained formula, and the prelude must
+        // one-shot solver on the self-contained formula, and the prelude must
         // be visibly reused from the second method on.
         let program = parse_program(
             r#"
