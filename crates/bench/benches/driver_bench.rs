@@ -1,11 +1,10 @@
-//! Sequential vs. parallel batch driver, the three solver pool modes, and
+//! Sequential vs. parallel batch driver, the structure solver pool, and
 //! cold vs. warm VC cache, on singly-linked-list slices (mid-size:
 //! `delete_front`, 8 real SMT queries, seconds of single-core solving;
 //! multi-method: `set_key` + `delete_front` + `find` for the
-//! structure-scoped warm pool). On a multicore host the parallel run
-//! approaches `1/jobs` of the sequential time; the per-method session
-//! amortizes a method's shared-prelude lowering across its VCs (≈3× on
-//! `delete_front`); the structure pool additionally shares the
+//! structure-scoped warm pool). The solve stage runs one pool unit per
+//! data structure, so `parallel_jobs4` on this one-structure slice gains no
+//! solve-stage parallelism; the structure pool shares the
 //! structure-common prelude across methods; the warm-cache run collapses to
 //! hashing + report assembly because every verdict is answered from the
 //! persisted cache. The `observer_off`/`observer_on` pair pins the cost of
@@ -13,7 +12,7 @@
 //! would-be event, armed it buys the full `--trace` timeline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ids_driver::{verify_selections, DriverConfig, PoolMode, Selection};
+use ids_driver::{verify_selections, DriverConfig, Selection};
 use ids_smt::SolverProfile;
 use ids_structures::lists;
 
@@ -49,15 +48,14 @@ fn bench_driver(c: &mut Criterion) {
         });
     });
 
-    // The PR-2 baseline: every VC in its own fresh solver (`--pool-mode
-    // none`). Comparing against `sequential_jobs1` above isolates the win of
-    // sharing one incremental solver session across a method's VCs.
-    group.bench_function("fresh_per_vc_jobs1", |b| {
-        let selections = sll_selection(&ids, &methods);
+    // The structure pool on a *multi-method* slice of one structure: the
+    // structure-common hypothesis prelude stays warm across methods.
+    let pool_methods = ["set_key", "delete_front", "find"];
+    group.bench_function("structure_pool_3methods_jobs1", |b| {
+        let selections = sll_selection(&ids, &pool_methods);
         let config = DriverConfig {
             jobs: 1,
             cache_path: None,
-            pool_mode: PoolMode::None,
             ..DriverConfig::default()
         };
         b.iter(|| {
@@ -66,30 +64,6 @@ fn bench_driver(c: &mut Criterion) {
             batch.reports.len()
         });
     });
-
-    // Structure pool vs per-method sessions on a *multi-method* slice of one
-    // structure: the pair isolates the win of keeping the structure-common
-    // hypothesis prelude warm across methods.
-    let pool_methods = ["set_key", "delete_front", "find"];
-    for (label, mode) in [
-        ("method_pool_3methods_jobs1", PoolMode::Method),
-        ("structure_pool_3methods_jobs1", PoolMode::Structure),
-    ] {
-        group.bench_function(label, |b| {
-            let selections = sll_selection(&ids, &pool_methods);
-            let config = DriverConfig {
-                jobs: 1,
-                cache_path: None,
-                pool_mode: mode,
-                ..DriverConfig::default()
-            };
-            b.iter(|| {
-                let batch = verify_selections(&selections, &config);
-                assert!(batch.errors.is_empty());
-                batch.reports.len()
-            });
-        });
-    }
 
     // Solver heuristics profiles on the same multi-method slice: `default`
     // (Luby restarts + LBD clause deletion + hybrid pivoting + fast hashing)

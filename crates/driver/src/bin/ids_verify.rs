@@ -26,9 +26,7 @@ use std::time::{Duration, Instant};
 use ids_core::pipeline::{prepare_plain, PipelineConfig, VcVerdict};
 use ids_core::report::{format_table, Table2Row};
 use ids_driver::json::Json;
-use ids_driver::{
-    ledger, verify_selections, verify_tasks, BatchReport, DriverConfig, PoolMode, Selection,
-};
+use ids_driver::{ledger, verify_selections, verify_tasks, BatchReport, DriverConfig, Selection};
 use ids_smt::{SolverProfile, SolverStats};
 use ids_structures::{all_benchmarks, quick_benchmarks};
 use ids_vcgen::Encoding;
@@ -51,14 +49,6 @@ OPTIONS:
     --cache PATH       persistent VC cache file (created if missing)
     --json             machine-readable JSON output
     --quantified       use the quantified (Dafny-style) encoding
-    --pool-mode MODE   solver-state sharing across queries (verdicts are
-                       identical in every mode):
-                         structure  one warm solver pool per data structure,
-                                    the shared hypothesis prelude lowered
-                                    once at structure scope (default)
-                         method     one incremental session per method
-                         none       a fresh solver per VC
-    --no-incremental   deprecated alias for --pool-mode none
     --solver-profile P solver search heuristics (verdicts are identical in
                        every profile):
                          default    Luby restarts, LBD-based learned-clause
@@ -97,7 +87,7 @@ OPTIONS:
     --threshold-pct P  (compare) noise gate: a solve-time delta counts only
                        past P percent of the base time (default 25)
     --threshold-ms MS  (compare) ...and past MS absolute milliseconds
-                       (default 50)
+                       (default 50); both must be finite and >= 0
     --advisory-timing  (compare) report timing regressions without failing;
                        only verdict changes exit nonzero (cross-machine CI)
     --quick            (suite) only the quick benchmark subset
@@ -114,7 +104,6 @@ struct Options {
     cache: Option<PathBuf>,
     json: bool,
     quantified: bool,
-    pool_mode: PoolMode,
     solver_profile: SolverProfile,
     trace: Option<PathBuf>,
     heartbeat: Option<u64>,
@@ -145,7 +134,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         cache: None,
         json: false,
         quantified: false,
-        pool_mode: PoolMode::default(),
         solver_profile: SolverProfile::default(),
         trace: None,
         heartbeat: None,
@@ -181,16 +169,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--cache" => o.cache = Some(PathBuf::from(value_of("--cache")?)),
             "--json" => o.json = true,
             "--quantified" => o.quantified = true,
-            "--pool-mode" => {
-                let v = value_of("--pool-mode")?;
-                o.pool_mode = PoolMode::parse(&v).ok_or_else(|| {
-                    format!(
-                        "invalid --pool-mode '{}' (expected structure, method or none)",
-                        v
-                    )
-                })?;
-            }
-            "--no-incremental" => o.pool_mode = PoolMode::None,
             "--solver-profile" => {
                 let v = value_of("--solver-profile")?;
                 o.solver_profile = SolverProfile::parse(&v).ok_or_else(|| {
@@ -223,17 +201,11 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--threshold-pct" => {
                 let v = value_of("--threshold-pct")?;
-                o.threshold_pct = Some(
-                    v.parse::<f64>()
-                        .map_err(|_| format!("invalid --threshold-pct value '{}'", v))?,
-                );
+                o.threshold_pct = Some(threshold("--threshold-pct", &v)?);
             }
             "--threshold-ms" => {
                 let v = value_of("--threshold-ms")?;
-                o.threshold_ms = Some(
-                    v.parse::<f64>()
-                        .map_err(|_| format!("invalid --threshold-ms value '{}'", v))?,
-                );
+                o.threshold_ms = Some(threshold("--threshold-ms", &v)?);
             }
             "--advisory-timing" => o.advisory_timing = true,
             "--quick" => o.quick = true,
@@ -247,6 +219,19 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     Ok(o)
 }
 
+/// Parses a `compare` noise-gate value. A NaN gate would never flag a
+/// regression and a negative one would flag every delta, so only finite,
+/// non-negative values are accepted.
+fn threshold(flag: &str, v: &str) -> Result<f64, String> {
+    match v.parse::<f64>() {
+        Ok(t) if t.is_finite() && t >= 0.0 => Ok(t),
+        _ => Err(format!(
+            "invalid {} value '{}' (expected a finite number >= 0)",
+            flag, v
+        )),
+    }
+}
+
 fn driver_config(o: &Options) -> DriverConfig {
     let mut config = DriverConfig {
         encoding: if o.quantified {
@@ -255,7 +240,6 @@ fn driver_config(o: &Options) -> DriverConfig {
             Encoding::Decidable
         },
         cache_path: o.cache.clone(),
-        pool_mode: o.pool_mode,
         solver_profile: o.solver_profile,
         ledger_path: ledger_path(o),
         recheck: o.recheck,
@@ -990,7 +974,7 @@ fn emit(batch: &BatchReport, config: &DriverConfig, command: &str, json: bool) -
             s.solver.prelude_lowered,
             s.wall.as_secs_f64(),
             config.jobs,
-            config.pool_mode.as_str(),
+            ledger::POOL_MODE,
             config.solver_profile.as_str(),
         );
     }
@@ -1084,7 +1068,7 @@ fn to_json(batch: &BatchReport, config: &DriverConfig, command: &str) -> String 
     j.begin_object();
     j.str_field("command", command);
     j.num_field("jobs", config.jobs as f64);
-    j.str_field("pool_mode", config.pool_mode.as_str());
+    j.str_field("pool_mode", ledger::POOL_MODE);
     j.str_field("solver_profile", config.solver_profile.as_str());
     j.key("rows");
     j.begin_array();
@@ -1169,4 +1153,45 @@ fn to_json(batch: &BatchReport, config: &DriverConfig, command: &str) -> String 
     j.end_object();
     j.end_object();
     j.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_options(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn non_finite_and_negative_thresholds_are_rejected() {
+        for flag in ["--threshold-pct", "--threshold-ms"] {
+            for bad in ["nan", "NaN", "inf", "-inf", "-1"] {
+                let err = parse(&[flag, bad]).err().unwrap_or_else(|| {
+                    panic!("{} {} was accepted", flag, bad);
+                });
+                assert!(err.contains(flag), "{}", err);
+            }
+            let o = parse(&[flag, "0"]).unwrap();
+            assert_eq!(o.threshold_pct.or(o.threshold_ms), Some(0.0));
+        }
+        let o = parse(&["--threshold-pct", "400", "--threshold-ms", "1000"]).unwrap();
+        assert_eq!(o.threshold_pct, Some(400.0));
+        assert_eq!(o.threshold_ms, Some(1000.0));
+    }
+
+    #[test]
+    fn removed_pool_flags_are_unknown_options() {
+        for args in [&["--pool-mode", "none"][..], &["--no-incremental"][..]] {
+            let err = parse(args).err().expect("removed flag was accepted");
+            assert_eq!(err, format!("unknown option '{}'", args[0]));
+        }
+    }
+
+    #[test]
+    fn zero_jobs_clamps_to_one() {
+        assert_eq!(parse(&["--jobs", "0"]).unwrap().jobs, Some(1));
+        assert_eq!(parse(&["--jobs", "3"]).unwrap().jobs, Some(3));
+        assert!(parse(&["--jobs", "-1"]).is_err());
+    }
 }

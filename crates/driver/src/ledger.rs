@@ -48,6 +48,12 @@ use crate::{DriverConfig, DriverStats};
 /// pre-bump baselines remain comparable.
 pub const LEDGER_SCHEMA: u64 = 4;
 
+/// The `pool_mode` every run records, in the ledger and in `--json`. The
+/// driver has one solver pool, a warm session per data structure; ledger
+/// lines written before the other modes were removed may carry `method` or
+/// `none`.
+pub const POOL_MODE: &str = "structure";
+
 /// Oldest schema version [`RunRecord::parse`] still accepts.
 pub const LEDGER_SCHEMA_MIN: u64 = 1;
 
@@ -65,7 +71,8 @@ pub struct RunMeta {
     pub hostname: String,
     /// The invoking command line (argv minus the binary path).
     pub command: String,
-    /// Pool mode (`structure` / `method` / `none`).
+    /// Pool mode: [`POOL_MODE`] for new runs; `method` / `none` on older
+    /// lines.
     pub pool_mode: String,
     /// Solver heuristics profile (`default` / `legacy`).
     pub profile: String,
@@ -227,7 +234,7 @@ impl RunRecord {
                     .unwrap_or(0),
                 hostname: hostname(),
                 command: command.join(" "),
-                pool_mode: config.pool_mode.as_str().to_string(),
+                pool_mode: POOL_MODE.to_string(),
                 profile: config.solver_profile.as_str().to_string(),
                 jobs: config.jobs as u64,
                 encoding: format!("{:?}", config.encoding).to_lowercase(),

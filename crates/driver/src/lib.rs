@@ -13,8 +13,13 @@
 //!    formula ([`MethodTask::vc_key`]). Identical VCs across the batch are
 //!    solved once, previously solved VCs are answered from a persistent
 //!    [`cache::VcCache`] file, so re-runs are incremental.
-//! 3. **Schedule** — remaining queries go through a channel-fed
-//!    [`pool`] of `std::thread` workers ([`DriverConfig::jobs`] wide). Once a
+//! 3. **Schedule** — remaining queries are grouped into one warm-pool unit
+//!    per data structure and go through a channel-fed [`pool`] of
+//!    `std::thread` workers ([`DriverConfig::jobs`] wide), so the solve stage
+//!    parallelises across structures. Inside a unit one
+//!    [`ids_core::pipeline::StructureSession`] lowers the structure-common
+//!    hypothesis prelude once and runs each method in a retractable method
+//!    scope (the paper's structure-by-structure verification, §5.3). Once a
 //!    method's VC is refuted, its not-yet-started VCs are cancelled — the
 //!    parallel analogue of the sequential pipeline's early stop. A final
 //!    repair pass then fills every VC *before* the first non-valid one, so
@@ -68,60 +73,19 @@ use ids_vcgen::Encoding;
 
 use crate::cache::VcCache;
 
-/// How solver state is shared across the batch's SMT queries.
-///
-/// Verdicts, VC cache keys and batch-dedup behaviour are byte-identical
-/// across all three modes; only the amount of lowering/clause-conversion work
-/// shared between queries differs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum PoolMode {
-    /// One warm solver pool per *data structure*: all pending methods of a
-    /// structure form one unit on a worker, the structure-common hypothesis
-    /// prelude is lowered once at structure scope, and each method runs in a
-    /// retractable method scope ([`ids_core::pipeline::StructureSession`]).
-    /// The default.
-    #[default]
-    Structure,
-    /// One incremental session per *method* (the PR-3 behaviour): a method's
-    /// VCs share its lowered prelude, methods share nothing.
-    Method,
-    /// A fresh solver per VC (the PR-2 behaviour, `--pool-mode none`).
-    None,
-}
-
-impl PoolMode {
-    /// Parses a CLI value (`structure` / `method` / `none`).
-    pub fn parse(s: &str) -> Option<PoolMode> {
-        match s {
-            "structure" => Some(PoolMode::Structure),
-            "method" => Some(PoolMode::Method),
-            "none" => Some(PoolMode::None),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling of this mode.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            PoolMode::Structure => "structure",
-            PoolMode::Method => "method",
-            PoolMode::None => "none",
-        }
-    }
-}
-
 /// Configuration of a batch run.
 #[derive(Clone, Debug)]
 pub struct DriverConfig {
-    /// Worker threads for both the prepare and the solve stage.
+    /// Worker threads for both the prepare and the solve stage. The prepare
+    /// stage runs one job per method; the solve stage runs one warm-pool
+    /// unit per data structure, so a one-structure batch solves on a single
+    /// worker.
     pub jobs: usize,
     /// VC encoding mode.
     pub encoding: Encoding,
     /// Optional path of the persistent VC cache; loaded before and saved
     /// after the batch. `None` still memoizes within the batch, in memory.
     pub cache_path: Option<PathBuf>,
-    /// Solver-state sharing across queries (see [`PoolMode`]).
-    pub pool_mode: PoolMode,
     /// Solver search-heuristics profile (`--solver-profile`). Verdicts, VC
     /// cache keys and dedup behaviour are byte-identical across profiles;
     /// only solve times and solver-internal telemetry differ.
@@ -150,7 +114,6 @@ impl Default for DriverConfig {
                 .unwrap_or(1),
             encoding: Encoding::default(),
             cache_path: None,
-            pool_mode: PoolMode::default(),
             solver_profile: SolverProfile::default(),
             ledger_path: None,
             recheck: false,
@@ -404,152 +367,88 @@ pub fn verify_tasks(mut tasks: Vec<MethodTask>, config: &DriverConfig) -> BatchR
     // (`VcResult::queue_time`) — scheduler imbalance, as opposed to solver
     // cost.
     let solve_start = Instant::now();
-    let jobs: Vec<(u128, usize, usize)> = pending
-        .iter()
-        .filter_map(|(&key, sites)| {
-            sites
-                .iter()
-                .find(|(ti, _)| !refuted_tasks.contains_key(ti))
-                .or_else(|| sites.first())
-                .map(|&(ti, vi)| (key, ti, vi))
-        })
-        .collect();
-    let tasks_ref = &tasks;
-    let cancelled = std::sync::Mutex::new(refuted_tasks);
-    let cancelled_ref = &cancelled;
-    let cancellation_count = std::sync::atomic::AtomicUsize::new(0);
-    // Records one worker-observed early stop: a scheduled VC abandoned
-    // because its method was cancelled `since` ago.
-    let note_cancellation = |ti: usize, vi: usize, since: Instant| {
-        cancellation_count.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        ids_obs::instant_with("cancelled", || {
-            format!(
-                "{} vc {} stopped {}us after refutation",
-                tasks_ref[ti].method,
-                vi,
-                since.elapsed().as_micros()
-            )
-        });
-    };
-    let note_cancellation = &note_cancellation;
-    // Runs one method's pending VCs in index order (hypothesis prefixes are
-    // monotone; cache-answered indices are simply skipped) through `check`,
-    // honouring per-VC cancellation; a refuted VC cancels the method's rest —
-    // exactly the sequential pipeline's early stop.
-    let run_method_items = |ti: usize,
-                            mut items: Vec<(u128, usize)>,
-                            out: &mut Vec<(u128, usize, usize, Option<VcResult>)>,
-                            check: &mut dyn FnMut(usize) -> VcResult| {
-        items.sort_by_key(|&(_, vi)| vi);
-        for (key, vi) in items {
-            let since = cancelled_ref.lock().expect("cancel set").get(&ti).copied();
-            if let Some(since) = since {
-                note_cancellation(ti, vi, since);
-                out.push((key, ti, vi, None));
-                continue;
-            }
-            let started = Instant::now();
-            let mut result = check(vi);
-            result.queue_time = started.duration_since(solve_start);
-            if result.verdict == ids_core::pipeline::VcVerdict::Refuted {
-                cancelled_ref
-                    .lock()
-                    .expect("cancel set")
-                    .entry(ti)
-                    .or_insert_with(Instant::now);
-            }
-            out.push((key, ti, vi, Some(result)));
-        }
-    };
+    // One warm-pool unit per data structure: all pending methods of a
+    // structure run on one worker, so `--jobs` parallelises across
+    // structures. BTreeMap order: a unit's methods run in ascending task
+    // index.
+    let mut by_task: BTreeMap<usize, Vec<(u128, usize)>> = BTreeMap::new();
+    for (&key, sites) in &pending {
+        let &(ti, vi) = sites
+            .iter()
+            .find(|(ti, _)| !refuted_tasks.contains_key(ti))
+            .unwrap_or(&sites[0]);
+        by_task.entry(ti).or_default().push((key, vi));
+    }
     // A method's share of the pending queue: its task index and the
     // (cache key, VC index) pairs to discharge.
     type MethodItems = (usize, Vec<(u128, usize)>);
-    let solved: Vec<(u128, usize, usize, Option<VcResult>)> = match config.pool_mode {
-        PoolMode::Structure => {
-            // Structure mode: all pending methods of one structure form one
-            // *warm-pool unit* on a worker. A StructureSession lowers the
-            // structure-common hypothesis prelude once at structure scope;
-            // each method then runs in a retractable method scope.
-            let mut by_task: BTreeMap<usize, Vec<(u128, usize)>> = BTreeMap::new();
-            for (key, ti, vi) in jobs {
-                by_task.entry(ti).or_default().push((key, vi));
-            }
-            // BTreeMap order: a unit's methods run in ascending task index.
-            let mut by_structure: BTreeMap<&str, Vec<MethodItems>> = BTreeMap::new();
-            for (ti, items) in by_task {
-                by_structure
-                    .entry(tasks_ref[ti].structure.as_str())
-                    .or_default()
-                    .push((ti, items));
-            }
-            let units: Vec<Vec<MethodItems>> = by_structure.into_values().collect();
-            pool::run(config.jobs, units, move |unit| {
-                let unit_tasks: Vec<&MethodTask> =
-                    unit.iter().map(|&(ti, _)| &tasks_ref[ti]).collect();
-                // Quantified-encoding tasks fall back to fresh solvers
-                // inside the same unit.
-                let mut pool_session = ids_core::pipeline::StructureSession::new(&unit_tasks);
-                let mut out = Vec::new();
-                for (slot, (ti, items)) in unit.into_iter().enumerate() {
-                    match pool_session.as_mut() {
-                        Some(s) => {
-                            s.begin_method(slot);
-                            run_method_items(ti, items, &mut out, &mut |vi| s.check_vc(slot, vi));
-                            s.end_method();
-                        }
-                        None => {
-                            let task = &tasks_ref[ti];
-                            run_method_items(ti, items, &mut out, &mut |vi| task.check_vc(vi));
-                        }
-                    }
+    let mut by_structure: BTreeMap<&str, Vec<MethodItems>> = BTreeMap::new();
+    for (ti, items) in by_task {
+        by_structure
+            .entry(tasks[ti].structure.as_str())
+            .or_default()
+            .push((ti, items));
+    }
+    let units: Vec<_> = by_structure.into_values().collect();
+    let cancelled = std::sync::Mutex::new(refuted_tasks);
+    let cancellation_count = std::sync::atomic::AtomicUsize::new(0);
+    let solved: Vec<(u128, usize, usize, Option<VcResult>)> =
+        pool::run(config.jobs, units, |unit| {
+            let unit_tasks: Vec<&MethodTask> = unit.iter().map(|&(ti, _)| &tasks[ti]).collect();
+            // A StructureSession lowers the structure-common hypothesis
+            // prelude once at structure scope; each method then runs in a
+            // retractable method scope. Quantified-encoding tasks fall back
+            // to fresh solvers inside the same unit.
+            let mut session = ids_core::pipeline::StructureSession::new(&unit_tasks);
+            let mut out = Vec::new();
+            for (slot, (ti, mut items)) in unit.into_iter().enumerate() {
+                if let Some(s) = session.as_mut() {
+                    s.begin_method(slot);
                 }
-                out
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        }
-        PoolMode::Method => {
-            // Method mode (PR 3): a method's pending VCs form one session
-            // unit on a worker; methods share nothing.
-            let mut by_task: BTreeMap<usize, Vec<(u128, usize)>> = BTreeMap::new();
-            for (key, ti, vi) in jobs {
-                by_task.entry(ti).or_default().push((key, vi));
+                // VCs run in index order (hypothesis prefixes are monotone;
+                // cache-answered indices are simply skipped); a refuted VC
+                // cancels the method's rest — exactly the sequential
+                // pipeline's early stop.
+                items.sort_by_key(|&(_, vi)| vi);
+                for (key, vi) in items {
+                    let since = cancelled.lock().expect("cancel set").get(&ti).copied();
+                    if let Some(since) = since {
+                        cancellation_count.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        ids_obs::instant_with("cancelled", || {
+                            format!(
+                                "{} vc {} stopped {}us after refutation",
+                                tasks[ti].method,
+                                vi,
+                                since.elapsed().as_micros()
+                            )
+                        });
+                        out.push((key, ti, vi, None));
+                        continue;
+                    }
+                    let started = Instant::now();
+                    let mut result = match session.as_mut() {
+                        Some(s) => s.check_vc(slot, vi),
+                        None => tasks[ti].check_vc(vi),
+                    };
+                    result.queue_time = started.duration_since(solve_start);
+                    if result.verdict == ids_core::pipeline::VcVerdict::Refuted {
+                        cancelled
+                            .lock()
+                            .expect("cancel set")
+                            .entry(ti)
+                            .or_insert_with(Instant::now);
+                    }
+                    out.push((key, ti, vi, Some(result)));
+                }
+                if let Some(s) = session.as_mut() {
+                    s.end_method();
+                }
             }
-            let session_jobs: Vec<(usize, Vec<(u128, usize)>)> = by_task.into_iter().collect();
-            pool::run(config.jobs, session_jobs, move |(ti, items)| {
-                let task = &tasks_ref[ti];
-                let mut session = ids_core::pipeline::MethodSession::new(task);
-                let mut out = Vec::with_capacity(items.len());
-                run_method_items(ti, items, &mut out, &mut |vi| match session.as_mut() {
-                    Some(s) => s.check_vc(vi),
-                    None => task.check_vc(vi),
-                });
-                out
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        }
-        PoolMode::None => pool::run(config.jobs, jobs, move |(key, ti, vi)| {
-            let since = cancelled_ref.lock().expect("cancel set").get(&ti).copied();
-            if let Some(since) = since {
-                note_cancellation(ti, vi, since);
-                return (key, ti, vi, None);
-            }
-            let started = Instant::now();
-            let mut result = tasks_ref[ti].check_vc(vi);
-            result.queue_time = started.duration_since(solve_start);
-            if result.verdict == ids_core::pipeline::VcVerdict::Refuted {
-                cancelled_ref
-                    .lock()
-                    .expect("cancel set")
-                    .entry(ti)
-                    .or_insert_with(Instant::now);
-            }
-            (key, ti, vi, Some(result))
-        }),
-    };
+            out
+        })
+        .into_iter()
+        .flatten()
+        .collect();
     drop(cancelled);
     let cancellations = cancellation_count.load(std::sync::atomic::Ordering::Relaxed);
     for (key, ti, vi, result) in solved {
@@ -567,9 +466,7 @@ pub fn verify_tasks(mut tasks: Vec<MethodTask>, config: &DriverConfig) -> BatchR
             } else {
                 results[sti][svi] = Some(VcResult::from_cache(svi, result.verdict));
                 cache_hits += 1;
-                ids_obs::instant_with("dedup_hit", || {
-                    format!("{} vc {}", tasks_ref[sti].method, svi)
-                });
+                ids_obs::instant_with("dedup_hit", || format!("{} vc {}", tasks[sti].method, svi));
             }
         }
     }
@@ -603,7 +500,7 @@ pub fn verify_tasks(mut tasks: Vec<MethodTask>, config: &DriverConfig) -> BatchR
                 cache_hits += 1;
                 VcResult::from_cache(vi, verdict)
             } else {
-                if session.is_none() && config.pool_mode != PoolMode::None {
+                if session.is_none() {
                     session = ids_core::pipeline::MethodSession::new(task);
                 }
                 let result = match session.as_mut() {
@@ -717,13 +614,11 @@ mod tests {
     }
 
     #[test]
-    fn pool_modes_match_each_other() {
-        // The same batch through structure pools (default), per-method
-        // sessions and fresh per-VC jobs: verdict kind, VC counts and
-        // failing VC must be byte-identical; only solver-internal statistics
-        // may differ. Includes a refuted method so the early-stop paths are
-        // compared too, and a two-method structure so the structure pool
-        // actually spans methods.
+    fn structure_pool_matches_sequential_and_reuses_prelude() {
+        // A two-method structure (so the pool actually spans methods) plus
+        // a refuted method (so the early-stop paths are compared too): the
+        // verdict kind, failing VC and VC count of every method must equal
+        // the sequential fresh-solver pipeline's.
         let good = ids_structures::Benchmark {
             name: "Singly-Linked List",
             definition: lists::singly_linked_list(),
@@ -740,54 +635,46 @@ mod tests {
             Selection::methods_of(&good, &["set_key", "find"]),
             Selection::methods_of(&bad, &["insert_front_forgets_length"]),
         ];
-        let run = |mode: PoolMode| {
-            verify_selections(
-                &sel,
-                &DriverConfig {
-                    jobs: 2,
-                    pool_mode: mode,
-                    ..DriverConfig::default()
-                },
-            )
-        };
-        let structure = run(PoolMode::Structure);
-        let method = run(PoolMode::Method);
-        let fresh = run(PoolMode::None);
-        for batch in [&structure, &method, &fresh] {
-            assert!(batch.errors.is_empty());
-            assert_eq!(batch.reports.len(), structure.reports.len());
-        }
-        for other in [&method, &fresh] {
-            for (a, b) in structure.reports.iter().zip(&other.reports) {
-                assert_eq!(a.method, b.method);
-                assert_eq!(a.outcome, b.outcome, "{} diverged", a.method);
-                assert_eq!(a.num_vcs, b.num_vcs);
-            }
-        }
-        assert!(structure.reports[0].outcome.is_verified());
-        assert!(structure.reports[1].outcome.is_verified());
-        assert!(!structure.reports[2].outcome.is_verified());
-        // The structure pool's prelude reuse is observable in the second
-        // method's stats (methods of one structure run in task order): it
-        // strictly exceeds the per-method session's within-method reuse
-        // (re-asserted guards), because the structure-common hypothesis
-        // prelude is answered from structure scope on top of that. Fresh
-        // per-VC solving reuses nothing at all: each non-cached VC check
-        // lowers exactly its one negated VC formula.
-        assert!(
-            structure.reports[1].solver.prelude_reused > method.reports[1].solver.prelude_reused,
-            "structure {:?} vs method {:?}",
-            structure.reports[1].solver,
-            method.reports[1].solver
+        let batch = verify_selections(
+            &sel,
+            &DriverConfig {
+                jobs: 2,
+                ..DriverConfig::default()
+            },
         );
-        let fresh_checks = fresh.reports[1]
-            .vc_reports
-            .iter()
-            .filter(|vc| !vc.cached)
-            .count();
-        assert!(fresh_checks > 0);
-        assert_eq!(fresh.reports[1].solver.prelude_reused, 0);
-        assert_eq!(fresh.reports[1].solver.prelude_lowered, fresh_checks as u64);
+        assert!(batch.errors.is_empty());
+        assert_eq!(batch.reports.len(), 3);
+        for (report, b) in batch.reports.iter().zip([&good, &good, &bad]) {
+            let merged = load_methods(&b.definition, b.methods_src).unwrap();
+            let seq = ids_core::pipeline::verify_method_in(
+                &b.definition,
+                &merged,
+                &report.method,
+                PipelineConfig::default(),
+            )
+            .unwrap();
+            assert_eq!(report.outcome, seq.outcome, "{} diverged", report.method);
+            assert_eq!(report.num_vcs, seq.num_vcs);
+        }
+        assert!(batch.reports[0].outcome.is_verified());
+        assert!(batch.reports[1].outcome.is_verified());
+        assert!(!batch.reports[2].outcome.is_verified());
+        // The pool's prelude reuse is observable in the second method's
+        // stats (methods of one structure run in task order): it strictly
+        // exceeds a stand-alone session's within-method reuse (re-asserted
+        // guards), because the structure-common hypothesis prelude is
+        // answered from structure scope on top of that.
+        let merged = load_methods(&good.definition, good.methods_src).unwrap();
+        let task = prepare_method_in(&good.definition, &merged, "find", PipelineConfig::default())
+            .unwrap();
+        let alone = task.report(&task.run_session()).solver;
+        let pooled = &batch.reports[1].solver;
+        assert!(
+            pooled.prelude_reused > alone.prelude_reused,
+            "pool {:?} vs stand-alone {:?}",
+            pooled,
+            alone
+        );
     }
 
     #[test]
@@ -854,12 +741,8 @@ mod tests {
         // A method refuted mid-way: every VC scheduled after the refuting
         // one is abandoned, and each abandonment is surfaced as a
         // cancellation. With jobs=1 the whole job list is enqueued before
-        // the inline worker starts, so every trailing VC deterministically
-        // observes the refutation. In structure/method modes a session runs
-        // its VCs in VC order, so exactly the skipped VCs are cancelled; in
-        // none mode jobs run in cache-key order, so VCs *before* the
-        // refutation can be cancelled too and then re-solved by the repair
-        // pass — cancellations can only exceed skipped_vcs.
+        // the inline worker starts, and the pool runs a method's VCs in VC
+        // order, so exactly the skipped VCs are cancelled.
         let b = ids_structures::Benchmark {
             name: "Singly-Linked List (buggy)",
             definition: lists::singly_linked_list(),
@@ -867,38 +750,23 @@ mod tests {
             methods: vec![],
         };
         let sel = vec![Selection::methods_of(&b, &["insert_front_forgets_length"])];
-        for mode in [PoolMode::Structure, PoolMode::Method, PoolMode::None] {
-            let batch = verify_selections(
-                &sel,
-                &DriverConfig {
-                    jobs: 1,
-                    pool_mode: mode,
-                    ..DriverConfig::default()
-                },
-            );
-            assert!(batch.errors.is_empty(), "{:?}", batch.errors);
-            assert!(!batch.reports[0].outcome.is_verified());
-            assert!(
-                batch.stats.skipped_vcs > 0,
-                "{:?}: the fixture no longer early-stops anything",
-                mode
-            );
-            if mode == PoolMode::None {
-                assert!(
-                    batch.stats.cancellations >= batch.stats.skipped_vcs,
-                    "{:?}: {} cancellations < {} skipped",
-                    mode,
-                    batch.stats.cancellations,
-                    batch.stats.skipped_vcs
-                );
-            } else {
-                assert_eq!(
-                    batch.stats.cancellations, batch.stats.skipped_vcs,
-                    "{:?}: a session cancels exactly the VCs after the refutation",
-                    mode
-                );
-            }
-        }
+        let batch = verify_selections(
+            &sel,
+            &DriverConfig {
+                jobs: 1,
+                ..DriverConfig::default()
+            },
+        );
+        assert!(batch.errors.is_empty(), "{:?}", batch.errors);
+        assert!(!batch.reports[0].outcome.is_verified());
+        assert!(
+            batch.stats.skipped_vcs > 0,
+            "the fixture no longer early-stops anything"
+        );
+        assert_eq!(
+            batch.stats.cancellations, batch.stats.skipped_vcs,
+            "the pool cancels exactly the VCs after the refutation"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 
 use intrinsic_verify::core::pipeline::{load_methods, verify_method_in, PipelineConfig};
-use intrinsic_verify::driver::{verify_selections, DriverConfig, PoolMode, Selection};
+use intrinsic_verify::driver::{verify_selections, DriverConfig, Selection};
 use intrinsic_verify::structures::lists;
 
 fn temp_cache(tag: &str) -> PathBuf {
@@ -92,12 +92,11 @@ fn warm_cache_rerun_discharges_zero_smt_queries() {
 #[test]
 fn pool_modes_report_identically_across_structures() {
     // One batch spanning several structure families plus a refuted method,
-    // run through all three `--pool-mode` values: structure-scoped warm
-    // pools (default), per-method sessions and fresh per-VC jobs. The
-    // *reports* must be byte-identical: outcome kind and failing-VC
-    // description, VC counts, cache accounting. Only solver-internal
-    // statistics (conflicts, propagations, times, prelude reuse) may differ
-    // between the solving strategies.
+    // run through the structure pool: every method's report must equal the
+    // sequential fresh-solver pipeline's — outcome kind and failing-VC
+    // description, and VC count. Only solver-internal statistics
+    // (conflicts, propagations, times, prelude reuse) may differ between
+    // the two solving strategies.
     use intrinsic_verify::structures::trees;
     let sll = lists::singly_linked_list();
     let circ = lists::circular_list();
@@ -129,52 +128,44 @@ fn pool_modes_report_identically_across_structures() {
             methods: methods(&["bst_find_min"]),
         },
     ];
-    let run = |mode: PoolMode| {
-        verify_selections(
-            &selections,
-            &DriverConfig {
-                jobs: 2,
-                pool_mode: mode,
-                ..DriverConfig::default()
-            },
-        )
-    };
-    let structure = run(PoolMode::Structure);
-    let method = run(PoolMode::Method);
-    let fresh = run(PoolMode::None);
-    for (label, batch) in [
-        ("structure", &structure),
-        ("method", &method),
-        ("none", &fresh),
-    ] {
-        assert!(batch.errors.is_empty(), "{}: {:?}", label, batch.errors);
-        assert_eq!(batch.reports.len(), structure.reports.len(), "{}", label);
-        assert_eq!(batch.stats.vcs, structure.stats.vcs, "{}", label);
-    }
-    for (label, other) in [("method", &method), ("none", &fresh)] {
-        for (a, b) in structure.reports.iter().zip(&other.reports) {
-            assert_eq!(a.structure, b.structure, "{}", label);
-            assert_eq!(a.method, b.method, "{}", label);
+    let batch = verify_selections(
+        &selections,
+        &DriverConfig {
+            jobs: 2,
+            ..DriverConfig::default()
+        },
+    );
+    assert!(batch.errors.is_empty(), "{:?}", batch.errors);
+    let mut reports = batch.reports.iter();
+    for sel in &selections {
+        let merged = load_methods(sel.definition, sel.methods_src).unwrap();
+        for method in &sel.methods {
+            let a = reports.next().expect("one report per selected method");
+            let seq = verify_method_in(sel.definition, &merged, method, PipelineConfig::default())
+                .unwrap();
+            assert_eq!(a.structure, seq.structure);
+            assert_eq!(a.method, seq.method);
             // Full outcome equality: kind *and* failing-VC description.
             assert_eq!(
-                a.outcome, b.outcome,
-                "{}::{} diverged under pool mode {}",
-                a.structure, a.method, label
+                a.outcome, seq.outcome,
+                "{}::{} diverged from the sequential pipeline",
+                a.structure, a.method
             );
-            assert_eq!(a.num_vcs, b.num_vcs);
-        }
-    }
-    // Stats-consistency: every mode did real solving work. (Cancellation
-    // timing under concurrency may make the exact query counts differ; the
-    // *reported* rows above may not.)
-    for batch in [&structure, &method, &fresh] {
-        for r in &batch.reports {
-            if r.outcome.is_verified() {
-                assert!(r.solver.theory_rounds > 0, "{}: {:?}", r.method, r.solver);
+            assert_eq!(a.num_vcs, seq.num_vcs, "{}::{}", a.structure, a.method);
+            // Stats-consistency: the pool did real solving work.
+            if a.outcome.is_verified() {
+                assert!(a.solver.theory_rounds > 0, "{}: {:?}", a.method, a.solver);
             }
         }
     }
-    assert!(!structure.all_verified(), "the buggy method must fail");
+    assert!(reports.next().is_none());
+    assert_eq!(
+        batch.stats.cache_hits + batch.stats.smt_queries + batch.stats.skipped_vcs,
+        batch.stats.vcs,
+        "{:?}",
+        batch.stats
+    );
+    assert!(!batch.all_verified(), "the buggy method must fail");
 }
 
 #[test]

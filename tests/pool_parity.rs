@@ -1,16 +1,20 @@
-//! Property test: the three solver pool modes are observationally identical.
+//! Property tests: the structure solver pool is observationally identical
+//! to the sequential fresh-solver pipeline.
 //!
 //! On random subsets (and orders) of a structure's methods — including
 //! methods refuted at different VCs, so early-stop interleavings are
-//! exercised — `--pool-mode structure`, `--pool-mode method` and
-//! `--pool-mode none` must produce byte-identical reports: outcome kind,
-//! failing-VC description and VC counts. On subsets without refutations the
-//! number of discharged SMT queries must also be identical (each deduplicated
-//! VC is solved exactly once in every mode); with refutations the counts may
-//! differ only through cancellation timing, never the reports.
+//! exercised — every method the pool reports must carry the same outcome
+//! (kind and failing-VC description) and VC count as
+//! `pipeline::verify_method_in`. On subsets without refutations the pool
+//! must also solve each distinct VC exactly once. Slicing, solver profiles
+//! and the observer are performance or telemetry switches: turning them on
+//! or off must not change a report.
 
+use intrinsic_verify::core::pipeline::{
+    load_methods, prepare_method_in, verify_method_in, PipelineConfig,
+};
 use intrinsic_verify::core::IntrinsicDefinition;
-use intrinsic_verify::driver::{verify_selections, DriverConfig, PoolMode, Selection};
+use intrinsic_verify::driver::{verify_selections, DriverConfig, Selection};
 use intrinsic_verify::smt::SolverProfile;
 use proptest::prelude::*;
 
@@ -122,51 +126,41 @@ proptest! {
             methods_src: METHODS_SRC,
             methods: methods.clone(),
         };
-        let run = |mode: PoolMode| {
-            verify_selections(
-                std::slice::from_ref(&selection),
-                &DriverConfig {
-                    jobs,
-                    pool_mode: mode,
-                    cache_path: None,
-                    solver_profile: profile,
-                    ..DriverConfig::default()
-                },
-            )
+        let config = PipelineConfig {
+            profile,
+            ..PipelineConfig::default()
         };
-        let structure = run(PoolMode::Structure);
-        let method = run(PoolMode::Method);
-        let fresh = run(PoolMode::None);
-
-        for (label, batch) in [("structure", &structure), ("method", &method), ("none", &fresh)] {
-            prop_assert!(batch.errors.is_empty(), "{}: {:?}", label, batch.errors);
-            prop_assert_eq!(batch.reports.len(), methods.len(), "{}", label);
-            // Accounting invariant: every VC is cached, solved or skipped.
+        let batch = verify_selections(
+            std::slice::from_ref(&selection),
+            &DriverConfig {
+                jobs,
+                cache_path: None,
+                solver_profile: profile,
+                ..DriverConfig::default()
+            },
+        );
+        prop_assert!(batch.errors.is_empty(), "{:?}", batch.errors);
+        prop_assert_eq!(batch.reports.len(), methods.len());
+        // Accounting invariant: every VC is cached, solved or skipped.
+        prop_assert_eq!(
+            batch.stats.cache_hits + batch.stats.smt_queries + batch.stats.skipped_vcs,
+            batch.stats.vcs,
+            "{:?}",
+            batch.stats
+        );
+        let merged = load_methods(&ids, METHODS_SRC).unwrap();
+        for (name, report) in methods.iter().zip(&batch.reports) {
+            let seq = verify_method_in(&ids, &merged, name, config).unwrap();
+            prop_assert_eq!(&report.method, name);
             prop_assert_eq!(
-                batch.stats.cache_hits + batch.stats.smt_queries + batch.stats.skipped_vcs,
-                batch.stats.vcs,
-                "{}: {:?}",
-                label,
-                batch.stats
+                &report.outcome,
+                &seq.outcome,
+                "methods {:?} jobs {}: {} diverged from the sequential pipeline",
+                &methods,
+                jobs,
+                name
             );
-        }
-        for (label, other) in [("method", &method), ("none", &fresh)] {
-            for (a, b) in structure.reports.iter().zip(&other.reports) {
-                prop_assert_eq!(&a.method, &b.method);
-                prop_assert_eq!(
-                    &a.outcome,
-                    &b.outcome,
-                    "methods {:?} jobs {}: {} diverged under pool mode {}",
-                    &methods,
-                    jobs,
-                    &a.method,
-                    label
-                );
-                prop_assert_eq!(a.num_vcs, b.num_vcs);
-            }
-            prop_assert_eq!(structure.stats.vcs, other.stats.vcs);
-        }
-        for (name, report) in methods.iter().zip(&structure.reports) {
+            prop_assert_eq!(report.num_vcs, seq.num_vcs);
             prop_assert_eq!(
                 report.outcome.is_verified(),
                 !REFUTED.contains(&name.as_str()),
@@ -174,28 +168,31 @@ proptest! {
                 name
             );
         }
-        // Without refutations there is no cancellation: every mode solves
-        // each deduplicated VC exactly once — query counts are identical.
+        // Without refutations there is no cancellation: the pool solves each
+        // distinct VC exactly once and answers its duplicates from the
+        // in-batch memo.
         if !methods.iter().any(|m| REFUTED.contains(&m.as_str())) {
-            for (label, other) in [("method", &method), ("none", &fresh)] {
-                prop_assert_eq!(
-                    structure.stats.smt_queries,
-                    other.stats.smt_queries,
-                    "query counts diverged under pool mode {} (methods {:?})",
-                    label,
-                    &methods
-                );
-                prop_assert_eq!(structure.stats.cache_hits, other.stats.cache_hits);
+            let mut keys = std::collections::HashSet::new();
+            for name in &methods {
+                let task = prepare_method_in(&ids, &merged, name, config).unwrap();
+                keys.extend((0..task.num_vcs()).map(|vi| task.vc_key(vi)));
             }
+            prop_assert_eq!(batch.stats.skipped_vcs, 0);
+            prop_assert_eq!(
+                batch.stats.smt_queries,
+                keys.len(),
+                "methods {:?}: a distinct VC was solved twice or not at all",
+                &methods
+            );
         }
     }
 }
 
 // Slice parity: re-verification with `--slice-hyps` (cached unsat cores
 // replayed as hypothesis-slice hints) must be observationally identical to
-// `--no-slice-hyps` — same outcomes, per-VC verdicts, keys and counts — in
-// every pool mode and under both profiles. Slicing is a performance hint
-// with a sound fallback, never a semantics change.
+// `--no-slice-hyps` — same outcomes, per-VC verdicts, keys and counts —
+// under both profiles. Slicing is a performance hint with a sound fallback,
+// never a semantics change.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
     #[test]
@@ -230,82 +227,65 @@ proptest! {
             CASE.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = std::fs::remove_file(&cache);
-
-        for mode in [PoolMode::Structure, PoolMode::Method, PoolMode::None] {
-            let _ = std::fs::remove_file(&cache);
-            let run = |recheck: bool, slice_hyps: bool| {
-                verify_selections(
-                    std::slice::from_ref(&selection),
-                    &DriverConfig {
-                        jobs: 1,
-                        pool_mode: mode,
-                        cache_path: Some(cache.clone()),
-                        solver_profile: profile,
-                        recheck,
-                        slice_hyps,
-                        ..DriverConfig::default()
-                    },
-                )
-            };
-            // Cold run populates the cache with verdicts and unsat cores.
-            let cold = run(false, true);
-            prop_assert!(cold.errors.is_empty(), "{:?}: {:?}", mode, cold.errors);
-            // Warm re-verification, with and without core-driven slicing.
-            let sliced = run(true, true);
-            let full = run(true, false);
-            for (label, batch) in [("sliced", &sliced), ("full", &full)] {
-                prop_assert!(batch.errors.is_empty(), "{:?}/{}", mode, label);
-                prop_assert!(
-                    batch.stats.smt_queries > 0,
-                    "{:?}/{}: recheck must re-solve, not answer from cache",
-                    mode,
-                    label
-                );
-            }
-            prop_assert_eq!(
-                full.stats.solver.slice_hits + full.stats.solver.slice_fallbacks,
-                0,
-                "{:?}: --no-slice-hyps must never consult hints",
-                mode
+        let run = |recheck: bool, slice_hyps: bool| {
+            verify_selections(
+                std::slice::from_ref(&selection),
+                &DriverConfig {
+                    jobs: 1,
+                    cache_path: Some(cache.clone()),
+                    solver_profile: profile,
+                    recheck,
+                    slice_hyps,
+                    ..DriverConfig::default()
+                },
+            )
+        };
+        // Cold run populates the cache with verdicts and unsat cores.
+        let cold = run(false, true);
+        prop_assert!(cold.errors.is_empty(), "{:?}", cold.errors);
+        // Warm re-verification, with and without core-driven slicing.
+        let sliced = run(true, true);
+        let full = run(true, false);
+        for (label, batch) in [("sliced", &sliced), ("full", &full)] {
+            prop_assert!(batch.errors.is_empty(), "{}", label);
+            prop_assert!(
+                batch.stats.smt_queries > 0,
+                "{}: recheck must re-solve, not answer from cache",
+                label
             );
-            if mode == PoolMode::None {
-                // The fresh-solver path checks one monolithic formula per VC;
-                // there is nothing to slice.
+        }
+        prop_assert_eq!(
+            full.stats.solver.slice_hits + full.stats.solver.slice_fallbacks,
+            0,
+            "--no-slice-hyps must never consult hints"
+        );
+        if methods.iter().any(|m| !REFUTED.contains(&m.as_str())) {
+            // At least one verified method means cached cores exist, so
+            // the sliced recheck must actually consume hints.
+            prop_assert!(
+                sliced.stats.solver.slice_hits + sliced.stats.solver.slice_fallbacks > 0,
+                "no hint was ever consumed (methods {:?})",
+                &methods
+            );
+        }
+        for (pair, other) in [("cold", &cold), ("full", &full)] {
+            prop_assert_eq!(sliced.reports.len(), other.reports.len());
+            for (a, b) in sliced.reports.iter().zip(&other.reports) {
+                prop_assert_eq!(&a.method, &b.method);
                 prop_assert_eq!(
-                    sliced.stats.solver.slice_hits + sliced.stats.solver.slice_fallbacks,
-                    0,
-                    "fresh path must not slice"
-                );
-            } else if methods.iter().any(|m| !REFUTED.contains(&m.as_str())) {
-                // At least one verified method means cached cores exist, so
-                // the sliced recheck must actually consume hints.
-                prop_assert!(
-                    sliced.stats.solver.slice_hits + sliced.stats.solver.slice_fallbacks > 0,
-                    "{:?}: no hint was ever consumed (methods {:?})",
-                    mode,
+                    &a.outcome,
+                    &b.outcome,
+                    "{} diverged between sliced and {} (methods {:?})",
+                    &a.method,
+                    pair,
                     &methods
                 );
-            }
-            for (pair, other) in [("cold", &cold), ("full", &full)] {
-                prop_assert_eq!(sliced.reports.len(), other.reports.len());
-                for (a, b) in sliced.reports.iter().zip(&other.reports) {
-                    prop_assert_eq!(&a.method, &b.method);
-                    prop_assert_eq!(
-                        &a.outcome,
-                        &b.outcome,
-                        "{:?}: {} diverged between sliced and {} (methods {:?})",
-                        mode,
-                        &a.method,
-                        pair,
-                        &methods
-                    );
-                    prop_assert_eq!(a.num_vcs, b.num_vcs);
-                    prop_assert_eq!(a.vc_reports.len(), b.vc_reports.len());
-                    for (va, vb) in a.vc_reports.iter().zip(&b.vc_reports) {
-                        prop_assert_eq!(va.vc_key, vb.vc_key);
-                        prop_assert_eq!(&va.verdict, &vb.verdict);
-                        prop_assert_eq!(&va.description, &vb.description);
-                    }
+                prop_assert_eq!(a.num_vcs, b.num_vcs);
+                prop_assert_eq!(a.vc_reports.len(), b.vc_reports.len());
+                for (va, vb) in a.vc_reports.iter().zip(&b.vc_reports) {
+                    prop_assert_eq!(va.vc_key, vb.vc_key);
+                    prop_assert_eq!(&va.verdict, &vb.verdict);
+                    prop_assert_eq!(&va.description, &vb.description);
                 }
             }
         }
@@ -315,12 +295,10 @@ proptest! {
 
 /// Cross-profile parity: `--solver-profile default` and `legacy` must
 /// produce byte-identical reports (outcome kind, failing-VC description,
-/// VC/cache/query counts) in every pool mode, and byte-identical VC cache
+/// VC/cache/query counts), and byte-identical VC cache
 /// keys — a profile change must never invalidate or split the cache.
 #[test]
 fn solver_profiles_agree_and_share_cache_keys() {
-    use intrinsic_verify::core::pipeline::{load_methods, prepare_method_in, PipelineConfig};
-
     let ids = list_ids();
     let methods: Vec<String> = METHOD_NAMES.iter().map(|m| m.to_string()).collect();
 
@@ -350,52 +328,48 @@ fn solver_profiles_agree_and_share_cache_keys() {
         );
     }
 
-    // Full-batch reports per (pool mode, profile).
+    // Full-batch reports per profile.
     let selection = Selection {
         name: "acyclic-list",
         definition: &ids,
         methods_src: METHODS_SRC,
         methods,
     };
-    for mode in [PoolMode::Structure, PoolMode::Method, PoolMode::None] {
-        let run = |profile: SolverProfile| {
-            verify_selections(
-                std::slice::from_ref(&selection),
-                &DriverConfig {
-                    jobs: 1,
-                    pool_mode: mode,
-                    cache_path: None,
-                    solver_profile: profile,
-                    ..DriverConfig::default()
-                },
-            )
-        };
-        let default = run(SolverProfile::Default);
-        let legacy = run(SolverProfile::Legacy);
-        assert!(default.errors.is_empty() && legacy.errors.is_empty());
-        assert_eq!(default.reports.len(), legacy.reports.len());
-        for (a, b) in default.reports.iter().zip(&legacy.reports) {
-            assert_eq!(a.method, b.method);
-            assert_eq!(
-                a.outcome, b.outcome,
-                "{:?}: {} diverged across solver profiles",
-                mode, a.method
-            );
-            assert_eq!(a.num_vcs, b.num_vcs);
-            assert_eq!(a.cached_vcs, b.cached_vcs);
-        }
-        assert_eq!(default.stats.vcs, legacy.stats.vcs);
-        assert_eq!(default.stats.smt_queries, legacy.stats.smt_queries);
-        assert_eq!(default.stats.cache_hits, legacy.stats.cache_hits);
-        assert_eq!(default.stats.skipped_vcs, legacy.stats.skipped_vcs);
+    let run = |profile: SolverProfile| {
+        verify_selections(
+            std::slice::from_ref(&selection),
+            &DriverConfig {
+                jobs: 1,
+                cache_path: None,
+                solver_profile: profile,
+                ..DriverConfig::default()
+            },
+        )
+    };
+    let default = run(SolverProfile::Default);
+    let legacy = run(SolverProfile::Legacy);
+    assert!(default.errors.is_empty() && legacy.errors.is_empty());
+    assert_eq!(default.reports.len(), legacy.reports.len());
+    for (a, b) in default.reports.iter().zip(&legacy.reports) {
+        assert_eq!(a.method, b.method);
+        assert_eq!(
+            a.outcome, b.outcome,
+            "{} diverged across solver profiles",
+            a.method
+        );
+        assert_eq!(a.num_vcs, b.num_vcs);
+        assert_eq!(a.cached_vcs, b.cached_vcs);
     }
+    assert_eq!(default.stats.vcs, legacy.stats.vcs);
+    assert_eq!(default.stats.smt_queries, legacy.stats.smt_queries);
+    assert_eq!(default.stats.cache_hits, legacy.stats.cache_hits);
+    assert_eq!(default.stats.skipped_vcs, legacy.stats.skipped_vcs);
 }
 
 /// Observability parity: arming tracing, a heartbeat observer AND the
 /// metrics histograms must not change a single report field — verdicts,
 /// per-VC rows (including the stable `vc_key`) and every driver counter are
-/// identical with the observer on and off, in every pool mode and under both
-/// solver profiles. Histograms are the one intentional difference: empty
+/// identical with the observer on and off, under both solver profiles. Histograms are the one intentional difference: empty
 /// when disarmed, populated when armed — they are normalized out of the
 /// identity comparison and pinned separately. (Verdict parity is what
 /// licenses leaving the instrumentation compiled into release builds.)
@@ -422,12 +396,11 @@ fn observer_on_and_off_produce_identical_reports() {
     };
     // jobs: 1 — inline execution makes skip/cancellation counts exact, so
     // the comparison below can demand equality on every field.
-    let run = |mode: PoolMode, profile: SolverProfile| {
+    let run = |profile: SolverProfile| {
         verify_selections(
             std::slice::from_ref(&selection),
             &DriverConfig {
                 jobs: 1,
-                pool_mode: mode,
                 cache_path: None,
                 solver_profile: profile,
                 ..DriverConfig::default()
@@ -435,77 +408,75 @@ fn observer_on_and_off_produce_identical_reports() {
         )
     };
 
-    for mode in [PoolMode::Structure, PoolMode::Method, PoolMode::None] {
-        for profile in [SolverProfile::Default, SolverProfile::Legacy] {
-            let off = run(mode, profile);
+    for profile in [SolverProfile::Default, SolverProfile::Legacy] {
+        let off = run(profile);
 
-            let counter = Arc::new(Counting(AtomicU64::new(0)));
-            obs::trace_start();
-            obs::set_heartbeat_conflicts(1);
-            obs::set_observer(Some(counter.clone()));
-            obs::set_metrics(true);
-            let on = run(mode, profile);
-            obs::set_metrics(false);
-            obs::set_observer(None);
-            obs::set_heartbeat_conflicts(0);
-            let lanes = obs::trace_stop();
+        let counter = Arc::new(Counting(AtomicU64::new(0)));
+        obs::trace_start();
+        obs::set_heartbeat_conflicts(1);
+        obs::set_observer(Some(counter.clone()));
+        obs::set_metrics(true);
+        let on = run(profile);
+        obs::set_metrics(false);
+        obs::set_observer(None);
+        obs::set_heartbeat_conflicts(0);
+        let lanes = obs::trace_stop();
 
-            let label = format!("{:?}/{:?}", mode, profile);
-            assert!(
-                counter.0.load(Ordering::Relaxed) > 0,
-                "{}: observer never fired",
-                label
+        let label = format!("{:?}", profile);
+        assert!(
+            counter.0.load(Ordering::Relaxed) > 0,
+            "{}: observer never fired",
+            label
+        );
+        assert!(
+            lanes.iter().map(|l| l.events.len()).sum::<usize>() > 0,
+            "{}: tracing captured no events",
+            label
+        );
+
+        assert!(off.errors.is_empty() && on.errors.is_empty(), "{}", label);
+        assert_eq!(off.reports.len(), on.reports.len(), "{}", label);
+        for (a, b) in off.reports.iter().zip(&on.reports) {
+            assert_eq!(a.method, b.method, "{}", label);
+            assert_eq!(
+                a.outcome, b.outcome,
+                "{}: {} diverged under observation",
+                label, a.method
             );
-            assert!(
-                lanes.iter().map(|l| l.events.len()).sum::<usize>() > 0,
-                "{}: tracing captured no events",
-                label
-            );
-
-            assert!(off.errors.is_empty() && on.errors.is_empty(), "{}", label);
-            assert_eq!(off.reports.len(), on.reports.len(), "{}", label);
-            for (a, b) in off.reports.iter().zip(&on.reports) {
-                assert_eq!(a.method, b.method, "{}", label);
-                assert_eq!(
-                    a.outcome, b.outcome,
-                    "{}: {} diverged under observation",
-                    label, a.method
+            assert_eq!(a.num_vcs, b.num_vcs, "{}", label);
+            assert_eq!(a.cached_vcs, b.cached_vcs, "{}", label);
+            assert_eq!(a.vc_reports.len(), b.vc_reports.len(), "{}", label);
+            for (va, vb) in a.vc_reports.iter().zip(&b.vc_reports) {
+                assert_eq!(va.vc_index, vb.vc_index, "{}", label);
+                assert_eq!(va.vc_key, vb.vc_key, "{}", label);
+                assert_eq!(va.description, vb.description, "{}", label);
+                assert_eq!(va.verdict, vb.verdict, "{}", label);
+                assert_eq!(va.cached, vb.cached, "{}", label);
+                // Histograms are normalized out of the identity check:
+                // the disarmed run must have none at all.
+                assert!(
+                    va.hists.is_empty(),
+                    "{}: metrics were disarmed yet {} vc {} recorded histograms",
+                    label,
+                    a.method,
+                    va.vc_index
                 );
-                assert_eq!(a.num_vcs, b.num_vcs, "{}", label);
-                assert_eq!(a.cached_vcs, b.cached_vcs, "{}", label);
-                assert_eq!(a.vc_reports.len(), b.vc_reports.len(), "{}", label);
-                for (va, vb) in a.vc_reports.iter().zip(&b.vc_reports) {
-                    assert_eq!(va.vc_index, vb.vc_index, "{}", label);
-                    assert_eq!(va.vc_key, vb.vc_key, "{}", label);
-                    assert_eq!(va.description, vb.description, "{}", label);
-                    assert_eq!(va.verdict, vb.verdict, "{}", label);
-                    assert_eq!(va.cached, vb.cached, "{}", label);
-                    // Histograms are normalized out of the identity check:
-                    // the disarmed run must have none at all.
-                    assert!(
-                        va.hists.is_empty(),
-                        "{}: metrics were disarmed yet {} vc {} recorded histograms",
-                        label,
-                        a.method,
-                        va.vc_index
-                    );
-                }
             }
-            // ...and the armed run must have recorded solver dynamics for at
-            // least one solved VC (trivial VCs may finish without a round).
-            assert!(
-                on.reports
-                    .iter()
-                    .flat_map(|r| &r.vc_reports)
-                    .any(|vc| !vc.hists.is_empty()),
-                "{}: metrics were armed yet no VC recorded a histogram",
-                label
-            );
-            assert_eq!(off.stats.vcs, on.stats.vcs, "{}", label);
-            assert_eq!(off.stats.smt_queries, on.stats.smt_queries, "{}", label);
-            assert_eq!(off.stats.cache_hits, on.stats.cache_hits, "{}", label);
-            assert_eq!(off.stats.skipped_vcs, on.stats.skipped_vcs, "{}", label);
-            assert_eq!(off.stats.cancellations, on.stats.cancellations, "{}", label);
         }
+        // ...and the armed run must have recorded solver dynamics for at
+        // least one solved VC (trivial VCs may finish without a round).
+        assert!(
+            on.reports
+                .iter()
+                .flat_map(|r| &r.vc_reports)
+                .any(|vc| !vc.hists.is_empty()),
+            "{}: metrics were armed yet no VC recorded a histogram",
+            label
+        );
+        assert_eq!(off.stats.vcs, on.stats.vcs, "{}", label);
+        assert_eq!(off.stats.smt_queries, on.stats.smt_queries, "{}", label);
+        assert_eq!(off.stats.cache_hits, on.stats.cache_hits, "{}", label);
+        assert_eq!(off.stats.skipped_vcs, on.stats.skipped_vcs, "{}", label);
+        assert_eq!(off.stats.cancellations, on.stats.cancellations, "{}", label);
     }
 }
