@@ -1,14 +1,9 @@
-//! Ablation benches for the design choices called out in DESIGN.md:
+//! Ablation bench for a design choice called out in DESIGN.md: **per-assert
+//! VC splitting vs. one monolithic VC** — the pipeline mirrors Boogie's
+//! split-on-every-assert discipline; the ablation conjoins every
+//! verification condition of a method into a single validity query.
 //!
-//! 1. **Incremental vs. restarting SAT in the lazy DPLL(T) loop** — with
-//!    `incremental_sat` the CDCL search continues across theory rounds; the
-//!    ablation restarts the propositional search from scratch after every
-//!    theory conflict clause (the textbook offline-lazy scheme).
-//! 2. **Per-assert VC splitting vs. one monolithic VC** — the pipeline mirrors
-//!    Boogie's split-on-every-assert discipline; the ablation conjoins every
-//!    verification condition of a method into a single validity query.
-//!
-//! Both ablations run on small, fast benchmark methods so that Criterion can
+//! The ablation runs on a small, fast benchmark method so that Criterion can
 //! afford several samples.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -42,25 +37,6 @@ fn check_all_valid(tm: &mut TermManager, formulas: &[ids_smt::TermId], config: S
     }
 }
 
-fn incremental_vs_restarting_sat(c: &mut Criterion) {
-    let (tm, formulas) = vcs_of("set_key");
-    let mut g = c.benchmark_group("ablation/sat-loop");
-    g.sample_size(10);
-    for (label, incremental) in [("incremental", true), ("restarting", false)] {
-        let config = SolverConfig {
-            incremental_sat: incremental,
-            ..SolverConfig::default()
-        };
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                let mut tm = tm.clone();
-                check_all_valid(&mut tm, &formulas, config);
-            })
-        });
-    }
-    g.finish();
-}
-
 fn split_vs_monolithic_vcs(c: &mut Criterion) {
     let (tm, formulas) = vcs_of("set_key");
     let mut g = c.benchmark_group("ablation/vc-splitting");
@@ -82,9 +58,5 @@ fn split_vs_monolithic_vcs(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    incremental_vs_restarting_sat,
-    split_vs_monolithic_vcs
-);
+criterion_group!(benches, split_vs_monolithic_vcs);
 criterion_main!(benches);

@@ -1012,6 +1012,8 @@ fn solver_json(j: &mut Json, s: &SolverStats) {
     j.num_field("slice_dropped_hyps", s.slice_dropped_hyps as f64);
     j.num_field("theory_lits", s.theory_lits as f64);
     j.num_field("theory_lits_asserted", s.theory_lits_asserted as f64);
+    j.num_field("theory_partial_checks", s.theory_partial_checks as f64);
+    j.num_field("theory_conflicts", s.theory_conflicts as f64);
     j.end_object();
 }
 

@@ -43,10 +43,13 @@ use crate::{DriverConfig, DriverStats};
 /// hypothesis slicing) and the optional per-VC `core` array (the positional
 /// hypothesis indices a Valid verdict's refutation used). v4 appended the
 /// `theory_lits` / `theory_lits_asserted` counters (literals handed to the
-/// incremental theory session, and those it actually asserted). Older lines
-/// still parse — the new counters read as zero, the core as absent — so
-/// pre-bump baselines remain comparable.
-pub const LEDGER_SCHEMA: u64 = 4;
+/// incremental theory session, and those it actually asserted). v5 appended
+/// the `theory_partial_checks` / `theory_conflicts` counters of the online
+/// DPLL(T) search (EUF checks at propagation fixpoints, and theory conflicts
+/// of any check); `theory_rounds` now counts every theory check, partial or
+/// complete, where it counted one check per complete assignment. Older lines still parse — the new counters read as zero, the
+/// core as absent — so pre-bump baselines remain comparable.
+pub const LEDGER_SCHEMA: u64 = 5;
 
 /// The `pool_mode` every run records, in the ledger and in `--json`. The
 /// driver has one solver pool, a warm session per data structure; ledger
@@ -123,7 +126,7 @@ pub struct VcLedgerEntry {
 pub const PHASES: [&str; 5] = ["lower", "sat", "euf", "simplex", "overhead"];
 
 /// The counter names of [`VcLedgerEntry::solver`], in storage order.
-pub const SOLVER_COUNTERS: [&str; 15] = [
+pub const SOLVER_COUNTERS: [&str; 17] = [
     "theory_rounds",
     "conflicts",
     "decisions",
@@ -139,6 +142,8 @@ pub const SOLVER_COUNTERS: [&str; 15] = [
     "slice_dropped_hyps",
     "theory_lits",
     "theory_lits_asserted",
+    "theory_partial_checks",
+    "theory_conflicts",
 ];
 
 /// One run's ledger record: metadata plus one entry per discharged VC.
@@ -204,6 +209,8 @@ fn vc_entry(task: &MethodTask, vc: &VcReport) -> VcLedgerEntry {
             vc.solver.slice_dropped_hyps,
             vc.solver.theory_lits,
             vc.solver.theory_lits_asserted,
+            vc.solver.theory_partial_checks,
+            vc.solver.theory_conflicts,
         ],
         hists: vc.hists.clone(),
         core: vc.core.clone(),

@@ -326,7 +326,7 @@ pub struct Heartbeat {
     pub restarts: u64,
     /// Live learned clauses in the SAT core.
     pub learned: u64,
-    /// DPLL(T) theory rounds of the current check.
+    /// DPLL(T) theory checks (partial and complete) of the current check.
     pub theory_rounds: u64,
     /// Simplex pivots.
     pub pivots: u64,
@@ -337,7 +337,7 @@ pub struct Heartbeat {
 /// non-blocking — they run inside solver hot loops.
 pub trait RunObserver: Send + Sync {
     /// Called from solver loops every [`heartbeat_interval`] conflicts, at
-    /// every restart, and once per theory round.
+    /// every restart, and once per theory check of a complete assignment.
     fn heartbeat(&self, _hb: &Heartbeat) {}
 }
 
@@ -405,15 +405,17 @@ pub fn emit_heartbeat(mut hb: Heartbeat) {
 pub enum Metric {
     /// Wall time of one SAT restart segment, in microseconds.
     RestartSegmentUs = 0,
-    /// Wall time of one DPLL(T) theory round, in microseconds.
+    /// Wall time of one DPLL(T) theory check of a complete assignment, in
+    /// microseconds.
     TheoryRoundUs = 1,
-    /// Simplex pivots performed in one theory round.
+    /// Simplex pivots performed in one theory check of a complete
+    /// assignment.
     PivotsPerRound = 2,
     /// Wall time between consecutive SAT conflicts, in microseconds.
     ConflictGapUs = 3,
     /// Literals asserted plus retracted by the persistent theory session in
-    /// one DPLL(T) round (the trail delta against the previous model; a
-    /// rebuild round counts every literal).
+    /// one DPLL(T) theory check of a complete assignment (the trail delta
+    /// against the session's previous check).
     TheoryDeltaLits = 4,
     /// Hypotheses a successful unsat-core slice never asserted for one VC
     /// check (the per-hit saving of `--slice-hyps` re-verification).

@@ -21,16 +21,6 @@ pub struct AtomMap {
     pub var_of_term: HashMap<TermId, Var>,
 }
 
-impl AtomMap {
-    /// The SAT literal for asserting the given atom with the given polarity.
-    ///
-    /// # Panics
-    /// Panics if the term was never encoded.
-    pub fn lit_of(&self, t: TermId, positive: bool) -> Lit {
-        Lit::new(self.var_of_term[&t], positive)
-    }
-}
-
 /// Incrementally encodes one root into an existing solver + atom map and
 /// returns the literal equivalent to the root *without asserting it*. The
 /// caller decides how to assert it — as a permanent unit clause, or guarded

@@ -6,15 +6,15 @@
 //! an opaque *tag* identifying the asserted literal it came from), it either
 //! produces the equivalence classes of the congruence closure or a conflict
 //! explanation — a subset of tags whose literals are jointly inconsistent.
-//! Explanations are what make the learned theory clauses of the lazy DPLL(T)
-//! loop short enough to be useful.
+//! Explanations are what make the learned theory clauses of the DPLL(T)
+//! search short enough to be useful.
 //!
-//! The lazy DPLL(T) loop re-runs congruence closure once per propositional
-//! model, so the parts of the setup that only depend on the universe of terms
-//! (sub-term collection, node numbering, operator interning, the list of
-//! congruence-eligible application nodes) are factored into an immutable
-//! [`EufTemplate`] that is built once per solver call and shared by every
-//! round via [`Euf::with_template`].
+//! This batch solver is the stateless reference of the trail-based session
+//! in `crate::trail`. The parts of the setup that only depend on the
+//! universe of terms (sub-term collection, node numbering, operator
+//! interning, the list of congruence-eligible application nodes) are
+//! factored into an immutable [`EufTemplate`] that the session copies and
+//! every batch check shares via [`Euf::with_template`].
 
 use std::collections::HashMap;
 
@@ -23,7 +23,7 @@ use crate::term::{Op, TermId, TermManager};
 
 /// Why two nodes were merged. Shared with the trail-based incremental engine
 /// in [`crate::trail`], which maintains the same proof-forest shape.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Reason {
     /// An input equation with the given tag.
     Asserted(usize),
@@ -109,11 +109,6 @@ impl EufTemplate {
             self.app_nodes.push(AppNode { node, op, args });
         }
     }
-
-    /// Number of nodes (distinct sub-terms) in the universe.
-    pub fn num_nodes(&self) -> usize {
-        self.terms.len()
-    }
 }
 
 /// A batch congruence-closure solver.
@@ -147,8 +142,8 @@ impl<'a> Euf<'a> {
         Euf::from_cow(tm, std::borrow::Cow::Owned(template))
     }
 
-    /// Creates a solver that shares a pre-built template. This is the cheap
-    /// constructor used once per theory-check round by the lazy DPLL(T) loop.
+    /// Creates a solver that shares a pre-built template: the cheap
+    /// constructor of one batch check.
     pub fn with_template(tm: &'a TermManager, template: &'a EufTemplate) -> Euf<'a> {
         Euf::from_cow(tm, std::borrow::Cow::Borrowed(template))
     }
@@ -215,7 +210,7 @@ impl<'a> Euf<'a> {
         for i in (1..path.len()).rev() {
             let child = path[i - 1];
             let parent = path[i];
-            let (_, reason) = self.pf_parent[child].clone().unwrap();
+            let (_, reason) = self.pf_parent[child].unwrap();
             self.pf_parent[parent] = Some((child, reason));
         }
         self.pf_parent[a] = None;
@@ -414,7 +409,7 @@ impl<'a> Euf<'a> {
         let walk =
             |mut x: usize, stop: usize, this: &mut Self, tags: &mut Vec<usize>, depth: usize| {
                 while x != stop {
-                    let (p, reason) = this.pf_parent[x].clone().expect("path to lca");
+                    let (p, reason) = this.pf_parent[x].expect("path to lca");
                     match reason {
                         Reason::Asserted(t) => tags.push(t),
                         Reason::Congruence(u, v) => {

@@ -14,19 +14,23 @@
 //! * **CNF/SAT** — one growing [`crate::sat::SatSolver`]. Assertions made
 //!   inside a [`IncrementalSolver::push`] scope carry a negated *activation
 //!   literal*; a check assumes the activation literals of the live scopes
-//!   ([`crate::sat::SatSolver::solve_under`]), and [`IncrementalSolver::pop`]
-//!   retracts the scope by permanently asserting the negated activation
-//!   literal. Learned clauses — including theory conflict clauses — are
-//!   globally valid and are kept forever.
+//!   ([`crate::sat::SatSolver::solve_under_theory`]), and
+//!   [`IncrementalSolver::pop`] retracts the scope by permanently asserting
+//!   the negated activation literal. Learned clauses (theory lemmas
+//!   included) are globally valid.
 //! * **Theory setup** — one [`crate::theory::TheoryChecker`] whose congruence
 //!   template and linear forms are *extended* as new atoms appear instead of
 //!   being rebuilt per query.
 //! * **Theory state** — a persistent trail-based theory session
-//!   (`crate::trail::TheorySession`): congruence closure and the simplex
-//!   tableau survive across DPLL(T) rounds, and each round asserts/retracts
-//!   only the literals that changed since the previous propositional model
-//!   ([`SolverStats::theory_lits_asserted`] of [`SolverStats::theory_lits`]),
-//!   instead of reconstructing both solvers from scratch.
+//!   (`crate::trail::TheorySession`), the SAT core's theory hook. The search
+//!   is online DPLL(T): at every propagation fixpoint the session asserts
+//!   the literals the SAT trail gained since its last call (and retracts the
+//!   ones a backjump removed) and checks EUF; on a complete assignment it
+//!   also checks the simplex. A theory conflict is learned and backjumped
+//!   over inside the CDCL search, at the level where it arose. Congruence
+//!   closure and the simplex tableau survive across checks, and each check
+//!   asserts only the delta ([`SolverStats::theory_lits_asserted`] of
+//!   [`SolverStats::theory_lits`]).
 //!
 //! Model soundness with retraction: atoms that only occur in popped scopes
 //! are *dead* — their propositional values are unconstrained don't-cares. The
@@ -35,7 +39,7 @@
 //! remaining clause mentioning dead atoms is either deactivated (by the
 //! popped activation literal) or a valid lemma, satisfied by the dead atoms'
 //! semantic truth values. Liveness cannot change within one check, so it is
-//! resolved once per check, not once per round.
+//! resolved once per check, not once per theory check.
 //!
 //! # Two-level scope discipline (structure-scoped warm pools)
 //!
@@ -96,10 +100,11 @@ use crate::cnf::{encode_root, AtomMap};
 use crate::lower::LowerCtx;
 use crate::model::Model;
 use crate::quant::contains_forall;
-use crate::sat::{Lit, SatResult, SatSolver, Var};
+use crate::sat::{Lit, SatResult, SatSolver, Theory, TheoryVerdict, Var};
+use crate::simplex::PivotRule;
 use crate::solver::{SolverConfig, SolverStats};
 use crate::term::{Op, Sort, TermId, TermManager};
-use crate::theory::TheoryChecker;
+use crate::theory::{TheoryCheck, TheoryChecker};
 use crate::trail::{SessionCheck, TheorySession};
 
 /// Where an atom has been used so far: in a permanent assertion (or a derived
@@ -147,6 +152,90 @@ struct MethodRollback {
     pending_lower_time: std::time::Duration,
 }
 
+/// The theory hook of one check: the persistent trail session behind the
+/// SAT core's search, with the check's statistics.
+struct SessionHook<'a> {
+    tm: &'a TermManager,
+    checker: &'a TheoryChecker,
+    session: &'a mut TheorySession,
+    /// The live atom of each SAT variable.
+    live: &'a [Option<TermId>],
+    stats: &'a mut SolverStats,
+    /// Theory conflicts allowed before the check answers Unknown.
+    budget: u64,
+    /// The pivot rule of the batch re-check of Consistent verdicts, if the
+    /// differential oracle is on.
+    oracle: Option<PivotRule>,
+}
+
+impl Theory for SessionHook<'_> {
+    fn check(&mut self, trail: &[Lit], stable: usize, complete: bool) -> TheoryVerdict {
+        let start = std::time::Instant::now();
+        let (result, tel, delta) =
+            self.session
+                .check(self.checker, trail, stable, self.live, complete);
+        let stats = &mut *self.stats;
+        stats.theory_rounds += 1;
+        stats.theory_partial_checks += !complete as u64;
+        stats.theory_lits += self.session.trail_len() as u64;
+        stats.theory_lits_asserted += delta.asserted;
+        stats.pivots += tel.pivots;
+        let verdict = match result {
+            SessionCheck::Consistent => {
+                // A batch re-check costs a full congruence closure, so every
+                // complete verdict is re-checked but only every 64th partial
+                // one.
+                let recheck = complete || stats.theory_partial_checks % 64 == 1;
+                if let Some(pivot) = self.oracle.filter(|_| recheck) {
+                    let literals = self.session.literals();
+                    let batch = if complete {
+                        self.checker.check_with(self.tm, &literals, pivot)
+                    } else {
+                        self.checker.check_euf(self.tm, &literals)
+                    };
+                    assert!(
+                        matches!(batch, TheoryCheck::Consistent),
+                        "trail session said Consistent (complete: {complete}); batch checker \
+                         says {batch:?}\nliterals: {literals:?}"
+                    );
+                }
+                TheoryVerdict::Consistent
+            }
+            SessionCheck::Unknown => TheoryVerdict::Unknown,
+            SessionCheck::Conflict(lits) => {
+                stats.theory_conflicts += 1;
+                if stats.theory_conflicts > self.budget {
+                    TheoryVerdict::Unknown
+                } else {
+                    TheoryVerdict::Conflict(lits.iter().map(|l| l.negate()).collect())
+                }
+            }
+        };
+        let elapsed = start.elapsed();
+        stats.theory_time += elapsed;
+        stats.simplex_time += tel.simplex_time;
+        stats.euf_time += elapsed.saturating_sub(tel.simplex_time);
+        if complete {
+            if ids_obs::metrics_active() {
+                ids_obs::record_metric(ids_obs::Metric::TheoryRoundUs, elapsed.as_micros() as u64);
+                ids_obs::record_metric(ids_obs::Metric::PivotsPerRound, tel.pivots);
+                ids_obs::record_metric(
+                    ids_obs::Metric::TheoryDeltaLits,
+                    delta.retracted + delta.asserted,
+                );
+            }
+            if ids_obs::heartbeat_interval() != 0 {
+                ids_obs::emit_heartbeat(ids_obs::Heartbeat {
+                    theory_rounds: stats.theory_rounds,
+                    pivots: stats.pivots,
+                    ..ids_obs::Heartbeat::default()
+                });
+            }
+        }
+        verdict
+    }
+}
+
 /// An SMT solver with persistent state and a push/pop assertion stack.
 ///
 /// See the [module documentation](self) for the architecture.
@@ -158,7 +247,7 @@ pub struct IncrementalSolver {
     lower: LowerCtx,
     checker: Option<TheoryChecker>,
     /// Persistent trail-based theory state (EUF + simplex), kept across
-    /// DPLL(T) rounds and checks; snapshotted/restored with the checker at
+    /// theory checks and solver checks; snapshotted/restored with the checker at
     /// method-scope boundaries so the two stay consistent.
     session: TheorySession,
     /// Atoms encoded since the checker was last grown.
@@ -338,11 +427,6 @@ impl IncrementalSolver {
         self.pending_lower_time = m.pending_lower_time;
         self.model = None;
         self.last_core.clear();
-    }
-
-    /// True if a method scope is currently open.
-    pub fn in_method_scope(&self) -> bool {
-        self.method.is_some()
     }
 
     /// Credits `n` assertions as answered from warm structure-scope state
@@ -596,149 +680,58 @@ impl IncrementalSolver {
         assumptions.extend(self.scopes.iter().map(|s| Lit::new(s.act, true)));
 
         let live = self.live_atoms();
-        // Split borrows: the loop reads the checker while mutating the SAT
-        // core, the theory session and the stats.
-        let checker = self.checker.as_ref().expect("checker built above");
-        let sat = &mut self.sat;
-        let stats = &mut self.stats;
-        let session = &mut self.session;
-        let last_core = &mut self.last_core;
-        let snapshot = |stats: &mut SolverStats, sat: &SatSolver| {
-            stats.sat_conflicts = sat.conflicts - base.0;
-            stats.sat_decisions = sat.decisions - base.1;
-            stats.sat_propagations = sat.propagations - base.2;
-            stats.restarts = sat.restarts - base.3;
-            stats.learned_deleted = sat.learned_deleted - base.4;
-            stats.learned_kept = sat.num_learned() as u64;
-            stats.max_lbd = sat.max_lbd as u64;
-        };
-
         // Differential oracle for debugging the trail session: when
-        // IDS_TRAIL_ORACLE is set, every Consistent verdict is re-checked
+        // IDS_TRAIL_ORACLE is set, Consistent verdicts are re-checked
         // against the stateless batch checker, which must agree.
         let oracle = std::env::var_os("IDS_TRAIL_ORACLE").is_some();
+        let mut hook = SessionHook {
+            tm,
+            checker: self.checker.as_ref().expect("checker built above"),
+            session: &mut self.session,
+            live: &live,
+            stats: &mut self.stats,
+            budget: self.config.max_theory_rounds as u64,
+            oracle: oracle.then_some(self.config.pivot),
+        };
+        let search_start = std::time::Instant::now();
+        let result = self.sat.solve_under_theory(&assumptions, &mut hook);
+        let search_time = search_start.elapsed();
 
-        for round in 0..self.config.max_theory_rounds {
-            stats.theory_rounds = round as u64 + 1;
-            let sat_start = std::time::Instant::now();
-            let sat_result = if round == 0 || !self.config.incremental_sat {
-                sat.solve_under(&assumptions)
-            } else {
-                sat.solve_continue_under(&assumptions)
-            };
-            stats.sat_time += sat_start.elapsed();
-            match sat_result {
-                SatResult::Unsat | SatResult::Unknown => {
-                    snapshot(stats, sat);
-                    if sat_result == SatResult::Unsat {
-                        // The refutation's assumption core was extracted by
-                        // the SAT core's final-conflict analysis.
-                        stats.unsat_cores = 1;
-                        stats.unsat_core_size = sat.unsat_core.len() as u64;
-                        let mut core: Vec<u32> = sat
-                            .unsat_core
-                            .iter()
-                            .filter_map(|l| tag_of_act.get(&l.var()).copied())
-                            .collect();
-                        core.sort_unstable();
-                        core.dedup();
-                        *last_core = core;
-                    }
-                    return sat_result;
-                }
-                SatResult::Sat => {}
+        let sat = &self.sat;
+        let stats = &mut self.stats;
+        stats.sat_time = search_time.saturating_sub(stats.theory_time);
+        stats.sat_conflicts = sat.conflicts - base.0;
+        stats.sat_decisions = sat.decisions - base.1;
+        stats.sat_propagations = sat.propagations - base.2;
+        stats.restarts = sat.restarts - base.3;
+        stats.learned_deleted = sat.learned_deleted - base.4;
+        stats.learned_kept = sat.num_learned() as u64;
+        stats.max_lbd = sat.max_lbd as u64;
+        match result {
+            SatResult::Sat => self.model = Some(Model::new(self.session.literals())),
+            SatResult::Unsat => {
+                // The refutation's assumption core was extracted by the SAT
+                // core's final-conflict analysis; it is empty when the
+                // refutation needed no assumption.
+                stats.unsat_cores = 1;
+                stats.unsat_core_size = sat.unsat_core.len() as u64;
+                let mut core: Vec<u32> = sat
+                    .unsat_core
+                    .iter()
+                    .filter_map(|l| tag_of_act.get(&l.var()).copied())
+                    .collect();
+                core.sort_unstable();
+                core.dedup();
+                self.last_core = core;
             }
-            // Live literals in SAT-trail (assignment) order, not term order:
-            // CDCL backjumps retract only a trail suffix, so consecutive rounds
-            // share a long literal prefix and the theory session only
-            // processes the delta. The model sorts separately.
-            let literals: Vec<(TermId, bool)> = sat
-                .trail()
-                .iter()
-                .filter_map(|&l| live[l.var() as usize].map(|atom| (atom, l.is_positive())))
-                .collect();
-            let theory_start = std::time::Instant::now();
-            let (theory_result, theory_tel, delta) = session.check_round(tm, checker, &literals);
-            let theory_elapsed = theory_start.elapsed();
-            stats.theory_time += theory_elapsed;
-            stats.theory_lits += literals.len() as u64;
-            stats.theory_lits_asserted += delta.asserted;
-            stats.pivots += theory_tel.pivots;
-            stats.euf_time += theory_tel.euf_time;
-            stats.simplex_time += theory_tel.simplex_time;
-            if ids_obs::metrics_active() {
-                ids_obs::record_metric(
-                    ids_obs::Metric::TheoryRoundUs,
-                    theory_elapsed.as_micros() as u64,
-                );
-                ids_obs::record_metric(ids_obs::Metric::PivotsPerRound, theory_tel.pivots);
-                ids_obs::record_metric(
-                    ids_obs::Metric::TheoryDeltaLits,
-                    delta.retracted + delta.asserted,
-                );
-            }
-            if ids_obs::heartbeat_interval() != 0 {
-                ids_obs::emit_heartbeat(ids_obs::Heartbeat {
-                    conflicts: sat.conflicts,
-                    decisions: sat.decisions,
-                    propagations: sat.propagations,
-                    restarts: sat.restarts,
-                    learned: sat.num_learned() as u64,
-                    theory_rounds: stats.theory_rounds,
-                    pivots: stats.pivots,
-                    ..ids_obs::Heartbeat::default()
-                });
-            }
-            match theory_result {
-                SessionCheck::Consistent => {
-                    if oracle {
-                        let (batch, _) = checker.check_with(tm, &literals, self.config.pivot);
-                        assert!(
-                            matches!(batch, crate::theory::TheoryCheck::Consistent),
-                            "trail session said Consistent; batch checker says {:?}\n\
-                             literals: {:?}",
-                            batch,
-                            literals
-                        );
-                    }
-                    snapshot(stats, sat);
-                    self.model = Some(Model::new(literals));
-                    return SatResult::Sat;
-                }
-                SessionCheck::Unknown => {
-                    snapshot(stats, sat);
-                    return SatResult::Unknown;
-                }
-                SessionCheck::Conflict(lits) => {
-                    let clause: Vec<Lit> = lits
-                        .iter()
-                        .map(|&(atom, positive)| self.atom_map.lit_of(atom, !positive))
-                        .collect();
-                    // An empty clause (the axioms alone inconsistent:
-                    // impossible, but be safe) or one falsified at the root
-                    // refutes the query without any assumption, so the
-                    // refutation's core is empty.
-                    let refuted = clause.is_empty()
-                        || !if self.config.incremental_sat {
-                            sat.add_theory_conflict(clause)
-                        } else {
-                            sat.add_clause(clause)
-                        };
-                    if refuted {
-                        snapshot(stats, sat);
-                        stats.unsat_cores = 1;
-                        return SatResult::Unsat;
-                    }
-                }
-            }
+            SatResult::Unknown => {}
         }
-        snapshot(stats, sat);
-        SatResult::Unknown
+        result
     }
 
     /// The live atom of each SAT variable (`None` for Tseitin variables and
-    /// dead atoms; see the module documentation), for one check's rounds to
-    /// read their literals off the SAT trail with one index per literal.
+    /// dead atoms; see the module documentation), for one check's theory
+    /// hook to read its literals off the SAT trail with one index per literal.
     fn live_atoms(&self) -> Vec<Option<TermId>> {
         let mut live = vec![None; self.sat.num_vars()];
         for (&var, &atom) in &self.atom_map.atom_of_var {
@@ -1110,6 +1103,33 @@ mod tests {
         assert_eq!(s.check(&mut tm), SatResult::Sat);
         assert_eq!(s.check_selected(&mut tm, Some(&[1])), SatResult::Sat);
         s.pop();
+    }
+
+    /// `max_theory_rounds` bounds the theory conflicts of one check: past
+    /// it the check answers Unknown instead of searching on.
+    #[test]
+    fn theory_conflict_budget_yields_unknown() {
+        let mut tm = TermManager::new();
+        let x = tm.var("x", Sort::Loc);
+        let y = tm.var("y", Sort::Loc);
+        let z = tm.var("z", Sort::Loc);
+        let fx = tm.app("f", vec![x], Sort::Loc);
+        let fz = tm.app("f", vec![z], Sort::Loc);
+        let eq_xy = tm.eq(x, y);
+        let eq_yz = tm.eq(y, z);
+        let ne_f = tm.neq(fx, fz);
+        // Refuting this needs at least one theory conflict.
+        let query = [eq_xy, eq_yz, ne_f];
+        for (budget, want) in [(0, SatResult::Unknown), (1, SatResult::Unsat)] {
+            let config = SolverConfig {
+                max_theory_rounds: budget,
+                ..SolverConfig::default()
+            };
+            let mut s = IncrementalSolver::with_config(config);
+            s.assert_all(&mut tm, &query);
+            assert_eq!(s.check(&mut tm), want, "budget {budget}");
+            assert_eq!(s.stats().theory_conflicts, 1, "budget {budget}");
+        }
     }
 
     #[test]

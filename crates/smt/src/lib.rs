@@ -21,10 +21,11 @@
 //!    VSIDS-style activities, restarts),
 //! 4. [`euf`] (congruence closure with explanations) and [`simplex`] (general
 //!    simplex over delta-rationals with branch-and-bound for integers) check
-//!    the theory consistency of propositional models and learn conflict
-//!    clauses — a lazy DPLL(T) loop in [`incremental`], whose theory state
-//!    persists across rounds on a backtrackable trail. A one-shot
-//!    [`Solver::check`] is a fresh session of that loop.
+//!    the theory consistency of the SAT assignment and yield conflict
+//!    clauses — an online DPLL(T) search in [`incremental`]: EUF is checked at
+//!    every propagation fixpoint, the simplex on complete assignments, and
+//!    the theory state persists on a backtrackable trail. A one-shot
+//!    [`Solver::check`] is a fresh session of that search.
 //!
 //! A bounded quantifier-instantiation engine ([`quant`]) supports the
 //! *quantified* (Dafny-style) encoding used only for the paper's RQ3

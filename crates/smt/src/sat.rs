@@ -3,23 +3,26 @@
 //! (Luby or geometric) restarts and LBD-based learned-clause database
 //! management.
 //!
-//! The solver is used incrementally by the lazy DPLL(T) loop in
-//! [`crate::solver`]: after each propositionally satisfying assignment, theory
-//! conflict clauses are added and `solve` is called again.
+//! The solver is the Boolean half of the online DPLL(T) engine in
+//! [`crate::incremental`]: [`SatSolver::solve_under_theory`] calls a
+//! [`Theory`] hook at every propagation fixpoint with the trail and the
+//! length of its prefix that is unchanged since the previous call, and once
+//! more on every complete assignment. A theory conflict is a clause whose
+//! literals are all false; it goes through first-UIP analysis and a backjump
+//! exactly like a Boolean conflict, except that a clause with a single
+//! literal at its highest decision level asserts that literal directly.
 //!
 //! # Learned-clause deletion and soundness
 //!
-//! Clauses learned by first-UIP analysis are resolvents of input and learned
-//! clauses only, so they are logically implied and *deleting* them can never
-//! change a verdict — it only costs re-derivation. Three clause categories
-//! are therefore never deleted by `reduce_db`:
+//! Clauses learned by first-UIP analysis are resolvents of input clauses,
+//! learned clauses and theory conflict clauses (valid theory lemmas), so they
+//! are logically implied and *deleting* them can never change a verdict — it
+//! only costs re-derivation (the theory hook re-detects a theory conflict the
+//! moment its literals are assigned again). Two clause categories are
+//! therefore never deleted by `reduce_db`:
 //!
 //! * **input clauses** (including the activation-literal-guarded scope
 //!   clauses of [`crate::incremental`]) — they define the problem;
-//! * **theory conflict clauses** ([`SatSolver::add_theory_conflict`]) — they
-//!   carry theory facts the SAT core cannot re-derive, and the termination
-//!   argument of the lazy DPLL(T) loop (every propositional model is refuted
-//!   at most once) depends on them persisting;
 //! * **locked clauses** — the current reason of an assigned literal — and
 //!   **glue clauses** (LBD ≤ [`ClauseDbOptions::glue_lbd`]), following the
 //!   Glucose heuristic that low-LBD clauses are worth keeping forever.
@@ -172,6 +175,47 @@ pub enum SatResult {
     Unknown,
 }
 
+/// A theory's answer to one [`Theory::check`] call.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum TheoryVerdict {
+    /// The assigned literals are consistent in the theory.
+    Consistent,
+    /// A theory conflict: a clause whose literals are all false under the
+    /// current assignment (the negation of an inconsistent literal subset).
+    Conflict(Vec<Lit>),
+    /// The theory gave up (resource limit); the search stops with
+    /// [`SatResult::Unknown`].
+    Unknown,
+}
+
+/// The theory hook of [`SatSolver::solve_under_theory`].
+pub trait Theory {
+    /// Checks the assignment `trail` (every assigned literal, in assignment
+    /// order). `trail[..stable]` is unchanged since the previous call of this
+    /// search; everything after it is new. `complete` is false at a
+    /// propagation fixpoint with variables still unassigned, and true on a
+    /// complete assignment, where a `Consistent` answer ends the search.
+    fn check(&mut self, trail: &[Lit], stable: usize, complete: bool) -> TheoryVerdict;
+}
+
+/// The empty theory: every assignment is consistent (plain SAT solving).
+struct NoTheory;
+
+impl Theory for NoTheory {
+    fn check(&mut self, _: &[Lit], _: usize, _: bool) -> TheoryVerdict {
+        TheoryVerdict::Consistent
+    }
+}
+
+/// The conflict [`SatSolver::analyze`] starts from.
+#[derive(Clone, Copy)]
+enum ConflictRef<'a> {
+    /// A clause of the database.
+    Clause(usize),
+    /// A theory conflict clause, not in the database.
+    Lits(&'a [Lit]),
+}
+
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Value {
     True,
@@ -182,15 +226,13 @@ enum Value {
 #[derive(Clone, Debug)]
 struct Clause {
     lits: Vec<Lit>,
+    /// Learned clauses are the ones [`SatSolver::reduce_db`] may delete
+    /// (see the module documentation).
     learned: bool,
-    /// Learned clauses that [`SatSolver::reduce_db`] may delete: first-UIP
-    /// resolvents only. Input and theory conflict clauses are protected (see
-    /// the module documentation).
-    deletable: bool,
     /// Tombstone: the clause is logically gone but keeps its index so that
     /// `reason` handles and watch lists stay valid; `lits` is emptied.
     deleted: bool,
-    /// Literal-block distance at learning time (0 for non-deletable clauses).
+    /// Literal-block distance at learning time (0 for input clauses).
     lbd: u32,
     /// Bump-and-decay activity, the deletion tie-breaker within an LBD band.
     activity: f64,
@@ -240,25 +282,29 @@ pub struct SatSolver {
     conflicts_since_reduce: u64,
     /// Conflict count that triggers the next `reduce_db` run.
     reduce_limit: u64,
-    /// Restarts performed since the current `solve` began. Persisted across
-    /// `solve_continue_under` rounds of one solve so the Luby sequence keeps
-    /// advancing on theory-bound problems (each theory round used to rewind
-    /// the schedule to its beginning, so restarts — and with them the
-    /// `reduce_db` cadence — barely ever fired).
+    /// Restarts performed since the current `solve` began.
     restarts_this_solve: u64,
     /// Conflict count that triggers the next restart (advances along the
-    /// schedule with `restarts_this_solve`; `0` means "not yet initialised").
+    /// schedule with `restarts_this_solve`).
     restart_limit: u64,
-    /// Conflicts since the last restart, persisted across continuation
-    /// rounds like `restarts_this_solve`.
+    /// Conflicts (Boolean and theory) since the last restart.
     conflicts_since_restart: u64,
+    /// Length of the trail prefix the theory hook has seen unchanged: set to
+    /// the trail length at every hook call, lowered by every backtrack.
+    theory_head: usize,
+    /// Per-variable marks of `analyze`, all false between calls.
+    seen: Vec<bool>,
+    /// Scratch buffer of `lbd_of`.
+    lbd_buf: Vec<u32>,
     /// The unsat core of the most recent [`SatResult::Unsat`] answer from
-    /// [`SatSolver::solve_under`] / [`SatSolver::solve_continue_under`]: a
+    /// [`SatSolver::solve_under`] / [`SatSolver::solve_under_theory`]: a
     /// subset of the assumption literals sufficient for unsatisfiability.
     /// Empty when the clause set is unsatisfiable on its own.
     pub unsat_core: Vec<Lit>,
-    /// Number of conflicts encountered (for statistics).
+    /// Number of Boolean conflicts encountered (for statistics).
     pub conflicts: u64,
+    /// Number of theory conflicts handled (for statistics).
+    pub theory_conflicts: u64,
     /// Number of decisions made (for statistics).
     pub decisions: u64,
     /// Number of unit propagations performed (for statistics).
@@ -297,6 +343,7 @@ impl SatSolver {
         self.reason.push(None);
         self.activity.push(0.0);
         self.phase.push(false);
+        self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.order.push((0, v));
@@ -328,14 +375,6 @@ impl SatSolver {
         }
     }
 
-    /// The assignment trail: every currently assigned literal in assignment
-    /// order. Consecutive solver rounds share a long trail prefix (CDCL
-    /// backjumps only undo a suffix), which the incremental theory session
-    /// exploits to retract/assert only the delta between models.
-    pub fn trail(&self) -> &[Lit] {
-        &self.trail
-    }
-
     /// The current value of a variable, if assigned.
     pub fn value(&self, v: Var) -> Option<bool> {
         match self.assign[v as usize] {
@@ -350,13 +389,15 @@ impl SatSolver {
     }
 
     /// Adds a clause. Returns `false` if the clause system became trivially
-    /// unsatisfiable (empty clause at level 0).
+    /// unsatisfiable (empty clause at level 0). A unit clause is assigned at
+    /// once but propagated by the next solve.
     pub fn add_clause(&mut self, mut lits: Vec<Lit>) -> bool {
         if !self.ok {
             return false;
         }
-        // We may be called mid-search (theory conflict clauses). Backtrack to
-        // the root level so that clause insertion stays simple and correct.
+        // Clauses arrive between searches, possibly over a complete
+        // assignment. Backtrack to the root level so that clause insertion
+        // stays simple and correct.
         self.backtrack(0);
         lits.sort();
         lits.dedup();
@@ -380,27 +421,24 @@ impl SatSolver {
                 false
             }
             1 => {
+                // Propagated by the next solve, whose counters then cover it.
                 self.enqueue(lits[0], None);
-                if self.propagate().is_some() {
-                    self.ok = false;
-                }
-                self.ok
+                true
             }
             _ => {
-                self.attach_clause(lits, false, false, 0);
+                self.attach_clause(lits, false, 0);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learned: bool, deletable: bool, lbd: u32) -> usize {
+    fn attach_clause(&mut self, lits: Vec<Lit>, learned: bool, lbd: u32) -> usize {
         let idx = self.clauses.len();
         self.watches[lits[0].negate().index()].push(idx);
         self.watches[lits[1].negate().index()].push(idx);
         self.clauses.push(Clause {
             lits,
             learned,
-            deletable,
             deleted: false,
             lbd,
             activity: 0.0,
@@ -410,15 +448,19 @@ impl SatSolver {
 
     /// The number of distinct decision levels among a clause's literals — the
     /// Glucose "literal block distance" quality measure (lower is better).
-    fn lbd_of(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits.iter().map(|l| self.level[l.var() as usize]).collect();
+    fn lbd_of(&mut self, lits: &[Lit]) -> u32 {
+        let mut levels = std::mem::take(&mut self.lbd_buf);
+        levels.clear();
+        levels.extend(lits.iter().map(|l| self.level[l.var() as usize]));
         levels.sort_unstable();
         levels.dedup();
-        levels.len() as u32
+        let lbd = levels.len() as u32;
+        self.lbd_buf = levels;
+        lbd
     }
 
     fn bump_clause(&mut self, ci: usize) {
-        if !self.clauses[ci].deletable {
+        if !self.clauses[ci].learned {
             return;
         }
         self.clauses[ci].activity += self.cla_inc;
@@ -452,8 +494,10 @@ impl SatSolver {
             self.propagations += 1;
             // Clauses watching ~l need attention (we store watches under the
             // literal that, when made true, might falsify the watched lit).
-            let watch_list = std::mem::take(&mut self.watches[l.index()]);
-            let mut keep = Vec::with_capacity(watch_list.len());
+            // The list is compacted in place: `kept` entries stay, the rest
+            // moved to another literal's list.
+            let mut watch_list = std::mem::take(&mut self.watches[l.index()]);
+            let mut kept = 0;
             let mut conflict = None;
             let mut wi = 0;
             while wi < watch_list.len() {
@@ -471,7 +515,8 @@ impl SatSolver {
                 }
                 let first = self.clauses[ci].lits[0];
                 if self.lit_value(first) == Value::True {
-                    keep.push(ci);
+                    watch_list[kept] = ci;
+                    kept += 1;
                     continue;
                 }
                 // Find a new literal to watch.
@@ -488,21 +533,23 @@ impl SatSolver {
                 if moved {
                     continue;
                 }
-                keep.push(ci);
+                watch_list[kept] = ci;
+                kept += 1;
                 if self.lit_value(first) == Value::False {
-                    // Conflict.
-                    keep.extend_from_slice(&watch_list[wi..]);
+                    // Conflict: keep the unvisited rest of the list.
+                    watch_list.copy_within(wi.., kept);
+                    kept += watch_list.len() - wi;
                     conflict = Some(ci);
                     break;
                 } else {
                     self.enqueue(first, Some(ci));
                 }
             }
-            self.watches[l.index()] = {
-                let mut w = keep;
-                w.extend(std::mem::take(&mut self.watches[l.index()]));
-                w
-            };
+            watch_list.truncate(kept);
+            // No clause moves its watch onto `l` itself (that would need `~l`
+            // and `l` in one clause), but keep anything that arrived.
+            watch_list.append(&mut self.watches[l.index()]);
+            self.watches[l.index()] = watch_list;
             if conflict.is_some() {
                 self.prop_head = self.trail.len();
                 return conflict;
@@ -522,34 +569,36 @@ impl SatSolver {
         self.order.push((self.activity[v as usize].to_bits(), v));
     }
 
-    /// First-UIP conflict analysis. Returns the learned clause and the level
-    /// to backjump to.
-    fn analyze(&mut self, conflict: usize) -> (Vec<Lit>, u32) {
-        let mut learned: Vec<Lit> = vec![];
-        let mut seen = vec![false; self.num_vars()];
+    /// First-UIP conflict analysis at the current decision level, which must
+    /// hold at least one literal of the conflict. Returns the learned clause
+    /// (asserting literal first) and the level to backjump to.
+    fn analyze(&mut self, conflict: ConflictRef<'_>) -> (Vec<Lit>, u32) {
+        // Index 0 is reserved for the first-UIP literal.
+        let mut learned: Vec<Lit> = vec![Lit(0)];
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
-        let mut clause_idx = conflict;
+        let mut next = conflict;
         let mut trail_pos = self.trail.len();
         let cur_level = self.decision_level();
 
         loop {
-            self.bump_clause(clause_idx);
-            let lits: Vec<Lit> = self.clauses[clause_idx].lits.clone();
-            for &q in &lits {
-                // Skip the literal we are currently resolving on (it occurs in
-                // its own reason clause with the opposite polarity).
-                if p.is_some_and(|pl| pl.var() == q.var()) {
-                    continue;
+            match next {
+                ConflictRef::Lits(lits) => {
+                    for &q in lits {
+                        self.analyze_visit(q, cur_level, &mut counter, &mut learned);
+                    }
                 }
-                let v = q.var() as usize;
-                if !seen[v] && self.level[v] > 0 {
-                    seen[v] = true;
-                    self.bump(q.var());
-                    if self.level[v] == cur_level {
-                        counter += 1;
-                    } else {
-                        learned.push(q);
+                ConflictRef::Clause(ci) => {
+                    self.bump_clause(ci);
+                    for k in 0..self.clauses[ci].lits.len() {
+                        let q = self.clauses[ci].lits[k];
+                        // Skip the literal we are currently resolving on (it
+                        // occurs in its own reason clause with the opposite
+                        // polarity).
+                        if p.is_some_and(|pl| pl.var() == q.var()) {
+                            continue;
+                        }
+                        self.analyze_visit(q, cur_level, &mut counter, &mut learned);
                     }
                 }
             }
@@ -557,14 +606,15 @@ impl SatSolver {
             loop {
                 trail_pos -= 1;
                 let l = self.trail[trail_pos];
-                if seen[l.var() as usize] {
+                if self.seen[l.var() as usize] {
                     p = Some(l.negate());
-                    seen[l.var() as usize] = false;
+                    self.seen[l.var() as usize] = false;
                     counter -= 1;
-                    if counter == 0 {
-                        break;
+                    if counter > 0 {
+                        next = ConflictRef::Clause(
+                            self.reason[l.var() as usize].expect("reason for implied lit"),
+                        );
                     }
-                    clause_idx = self.reason[l.var() as usize].expect("reason for implied lit");
                     break;
                 }
             }
@@ -572,8 +622,10 @@ impl SatSolver {
                 break;
             }
         }
-        let uip = p.expect("first UIP literal");
-        learned.insert(0, uip);
+        learned[0] = p.expect("first UIP literal");
+        for l in &learned[1..] {
+            self.seen[l.var() as usize] = false;
+        }
         // Backjump level = max level among the other literals.
         let bj = learned[1..]
             .iter()
@@ -581,6 +633,79 @@ impl SatSolver {
             .max()
             .unwrap_or(0);
         (learned, bj)
+    }
+
+    /// One literal of a clause being resolved by `analyze`: marks it, bumps
+    /// its variable, and counts it (current level) or keeps it (lower level).
+    fn analyze_visit(
+        &mut self,
+        q: Lit,
+        cur_level: u32,
+        counter: &mut usize,
+        learned: &mut Vec<Lit>,
+    ) {
+        let v = q.var() as usize;
+        if !self.seen[v] && self.level[v] > 0 {
+            self.seen[v] = true;
+            self.bump(q.var());
+            if self.level[v] == cur_level {
+                *counter += 1;
+            } else {
+                learned.push(q);
+            }
+        }
+    }
+
+    /// Learns a clause whose literals are all false except `lits[0]`, which
+    /// is unassigned after the backjump to `bj` and is asserted here.
+    fn learn(&mut self, lits: Vec<Lit>, bj: u32) {
+        self.backtrack(bj);
+        if lits.len() == 1 {
+            self.enqueue(lits[0], None);
+        } else {
+            // LBD is computed after the backjump, when every literal of the
+            // learned clause is assigned (the asserting literal is about to
+            // be, at the backjump level).
+            let lbd = self.lbd_of(&lits[1..]).saturating_add(1);
+            self.max_lbd = self.max_lbd.max(lbd);
+            let first = lits[0];
+            let ci = self.attach_clause(lits, true, lbd);
+            self.bump_clause(ci);
+            self.enqueue(first, Some(ci));
+        }
+    }
+
+    /// Resolves a theory conflict clause (every literal false). Returns
+    /// false when the conflict lies at the root level, which makes the clause
+    /// set unsatisfiable.
+    ///
+    /// The search backtracks to the clause's highest decision level first: a
+    /// final-check conflict may only involve literals far below the current
+    /// level. A clause with a single literal at that level asserts it
+    /// directly at the second-highest level; otherwise first-UIP analysis
+    /// learns an asserting resolvent, as for a Boolean conflict.
+    fn resolve_theory_conflict(&mut self, mut lits: Vec<Lit>) -> bool {
+        let level = |s: &Self, l: &Lit| s.level[l.var() as usize];
+        let top = lits.iter().map(|l| level(self, l)).max().unwrap_or(0);
+        if top == 0 {
+            return false;
+        }
+        self.backtrack(top);
+        if lits.iter().filter(|l| level(self, l) == top).count() > 1 {
+            let (learned, bj) = self.analyze(ConflictRef::Lits(&lits));
+            self.learn(learned, bj);
+            return true;
+        }
+        // Asserting as it stands: highest level first, root literals out.
+        lits.retain(|l| level(self, l) > 0);
+        lits.sort_unstable_by_key(|l| (std::cmp::Reverse(level(self, l)), *l));
+        lits.dedup();
+        for &l in &lits {
+            self.bump(l.var());
+        }
+        let bj = lits.get(1).map_or(0, |l| level(self, l));
+        self.learn(lits, bj);
+        true
     }
 
     fn backtrack(&mut self, level: u32) {
@@ -597,6 +722,7 @@ impl SatSolver {
         }
         self.trail_lim.truncate(level as usize);
         self.prop_head = self.trail.len();
+        self.theory_head = self.theory_head.min(target);
     }
 
     fn pick_branch_var(&mut self) -> Option<Var> {
@@ -616,7 +742,41 @@ impl SatSolver {
     /// Searches with a conflict budget; returns [`SatResult::Unknown`] when
     /// the budget is exhausted.
     pub fn solve_with_budget(&mut self, max_conflicts: u64) -> SatResult {
-        self.assumptions.clear();
+        self.solve_inner(&[], &mut NoTheory, max_conflicts)
+    }
+
+    /// Solves under temporary assumptions: the given literals are decided
+    /// before any free decision, and [`SatResult::Unsat`] means *unsatisfiable
+    /// together with the assumptions* (the solver itself stays consistent and
+    /// usable — clauses learned along the way are globally valid, because
+    /// conflict analysis resolves input/learned clauses and valid theory
+    /// lemmas only).
+    ///
+    /// This is the building block of the push/pop incremental solver: a scope's
+    /// clauses carry a negated activation literal, and the scope is enabled by
+    /// assuming the activation literal here.
+    pub fn solve_under(&mut self, assumptions: &[Lit]) -> SatResult {
+        self.solve_under_theory(assumptions, &mut NoTheory)
+    }
+
+    /// Like [`SatSolver::solve_under`], with `theory` consulted at every
+    /// propagation fixpoint and on every complete assignment (see
+    /// [`Theory::check`]). [`SatResult::Sat`] means the final assignment is
+    /// propositionally satisfying and theory-consistent.
+    pub fn solve_under_theory<T: Theory>(
+        &mut self,
+        assumptions: &[Lit],
+        theory: &mut T,
+    ) -> SatResult {
+        self.solve_inner(assumptions, theory, u64::MAX)
+    }
+
+    fn solve_inner<T: Theory>(
+        &mut self,
+        assumptions: &[Lit],
+        theory: &mut T,
+        max_conflicts: u64,
+    ) -> SatResult {
         self.unsat_core.clear();
         if !self.ok {
             return SatResult::Unsat;
@@ -627,12 +787,16 @@ impl SatSolver {
             self.ok = false;
             return SatResult::Unsat;
         }
-        self.search(max_conflicts)
+        // The theory starts each search from the whole trail.
+        self.theory_head = 0;
+        self.assumptions = assumptions.to_vec();
+        let r = self.search(theory, max_conflicts);
+        self.assumptions.clear();
+        r
     }
 
     /// Rewinds the restart schedule (and with it the `reduce_db` cadence's
-    /// trigger points) to its beginning. Called by the fresh-solve entry
-    /// points only; continuation rounds keep advancing the same schedule.
+    /// trigger points) to its beginning, at the start of every solve.
     fn reset_search_schedule(&mut self) {
         self.restarts_this_solve = 0;
         self.conflicts_since_restart = 0;
@@ -642,134 +806,8 @@ impl SatSolver {
         };
     }
 
-    /// Solves under temporary assumptions: the given literals are decided
-    /// before any free decision, and [`SatResult::Unsat`] means *unsatisfiable
-    /// together with the assumptions* (the solver itself stays consistent and
-    /// usable — clauses learned along the way are globally valid, because
-    /// conflict analysis resolves input/learned clauses only).
-    ///
-    /// This is the building block of the push/pop incremental solver: a scope's
-    /// clauses carry a negated activation literal, and the scope is enabled by
-    /// assuming the activation literal here.
-    pub fn solve_under(&mut self, assumptions: &[Lit]) -> SatResult {
-        self.unsat_core.clear();
-        if !self.ok {
-            return SatResult::Unsat;
-        }
-        self.reset_search_schedule();
-        self.backtrack(0);
-        if self.propagate().is_some() {
-            self.ok = false;
-            return SatResult::Unsat;
-        }
-        self.assumptions = assumptions.to_vec();
-        let r = self.search(u64::MAX);
-        self.assumptions.clear();
-        r
-    }
-
-    /// Continues the search from the current trail without resetting it,
-    /// re-establishing any assumption a backjump may have undone. Used by the
-    /// lazy DPLL(T) driver after [`SatSolver::add_theory_conflict`] so that
-    /// each theory round only repairs the part of the assignment the new
-    /// clause invalidates instead of re-enumerating the whole model.
-    pub fn solve_continue_under(&mut self, assumptions: &[Lit]) -> SatResult {
-        self.unsat_core.clear();
-        if !self.ok {
-            return SatResult::Unsat;
-        }
-        self.assumptions = assumptions.to_vec();
-        let r = self.search(u64::MAX);
-        self.assumptions.clear();
-        r
-    }
-
-    /// Adds a clause learned from a theory conflict while a (complete)
-    /// assignment is in place. Backtracks just far enough for the clause to
-    /// stop being falsified, attaches it, and enqueues its asserting literal
-    /// when it is unit. Returns `false` if the clause system became
-    /// unsatisfiable.
-    pub fn add_theory_conflict(&mut self, mut lits: Vec<Lit>) -> bool {
-        if !self.ok {
-            return false;
-        }
-        lits.sort();
-        lits.dedup();
-        if lits.is_empty() {
-            self.ok = false;
-            return false;
-        }
-        // If some literal is already true the clause is satisfied; attach it
-        // for completeness (it may matter after backtracking) and move on.
-        if lits.iter().any(|&l| self.lit_value(l) == Value::True) {
-            if lits.len() >= 2 {
-                self.attach_clause(lits, true, false, 0);
-            }
-            return true;
-        }
-        // Level of each (false) literal; unassigned literals count as the
-        // current level so that we do not backtrack past them.
-        let level_of = |s: &Self, l: Lit| -> u32 {
-            match s.lit_value(l) {
-                Value::Unassigned => s.decision_level(),
-                _ => s.level[l.var() as usize],
-            }
-        };
-        let highest = lits.iter().map(|&l| level_of(self, l)).max().unwrap_or(0);
-        if highest == 0 {
-            // Falsified at the root level: unsatisfiable.
-            self.ok = false;
-            return false;
-        }
-        self.backtrack(highest - 1);
-        // Order the literals so that unassigned ones come first, then false
-        // literals by decreasing level — the two watched positions must be the
-        // last literals of the clause to become false.
-        lits.sort_by_key(|&l| match self.lit_value(l) {
-            Value::Unassigned => (0u8, 0i64),
-            _ => (1u8, -(self.level[l.var() as usize] as i64)),
-        });
-        let unassigned = lits
-            .iter()
-            .filter(|&&l| self.lit_value(l) == Value::Unassigned)
-            .count();
-        if lits.len() == 1 {
-            // Unit at the root of its level; assert it at level 0.
-            self.backtrack(0);
-            match self.lit_value(lits[0]) {
-                Value::True => {}
-                Value::False => {
-                    self.ok = false;
-                    return false;
-                }
-                Value::Unassigned => {
-                    self.enqueue(lits[0], None);
-                    if self.propagate().is_some() {
-                        self.ok = false;
-                        return false;
-                    }
-                }
-            }
-            return true;
-        }
-        let ci = self.attach_clause(lits.clone(), true, false, 0);
-        if unassigned == 1 {
-            // The clause is asserting: propagate its only unassigned literal.
-            self.enqueue(lits[0], Some(ci));
-        }
-        true
-    }
-
     /// The CDCL search loop over the current trail.
-    fn search(&mut self, max_conflicts: u64) -> SatResult {
-        // The restart schedule lives on the solver, not in this call: a fresh
-        // `solve` rewinds it via `reset_search_schedule`, while theory-round
-        // continuations keep advancing the same Luby/geometric sequence (and
-        // with it the clause-deletion cadence, which only fires at restarts).
-        if self.restart_limit == 0 {
-            // Direct `solve_continue_under` without a preceding fresh solve.
-            self.reset_search_schedule();
-        }
+    fn search<T: Theory>(&mut self, theory: &mut T, max_conflicts: u64) -> SatResult {
         let mut conflicts_here = 0u64;
         // One trace span per search call, segmented at restarts; the guard's
         // drop keeps Begin/End matched on every return path below.
@@ -784,9 +822,7 @@ impl SatSolver {
         loop {
             if let Some(conf) = self.propagate() {
                 self.conflicts += 1;
-                self.conflicts_since_reduce += 1;
                 conflicts_here += 1;
-                self.conflicts_since_restart += 1;
                 if metrics {
                     let now = std::time::Instant::now();
                     if let Some(prev) = last_conflict.replace(now) {
@@ -806,89 +842,104 @@ impl SatSolver {
                     self.ok = false;
                     return SatResult::Unsat;
                 }
-                let (learned, bj) = self.analyze(conf);
-                self.backtrack(bj);
-                self.act_inc *= 1.05;
-                self.cla_inc *= 1.001;
-                if learned.len() == 1 {
-                    self.enqueue(learned[0], None);
-                } else {
-                    // LBD is computed after the backjump, when every literal
-                    // of the learned clause is assigned (the asserting
-                    // literal is about to be, at the backjump level).
-                    let lbd = self.lbd_of(&learned[1..]).saturating_add(1);
-                    self.max_lbd = self.max_lbd.max(lbd);
-                    let ci = self.attach_clause(learned.clone(), true, true, lbd);
-                    self.bump_clause(ci);
-                    self.enqueue(learned[0], Some(ci));
-                }
-                if self.conflicts_since_restart > self.restart_limit {
-                    self.conflicts_since_restart = 0;
-                    self.restarts_this_solve += 1;
-                    self.restarts += 1;
-                    let restarts_here = self.restarts_this_solve;
-                    obs_span.restart(|| format!("restart {restarts_here}"));
-                    if let Some(start) = seg_start.replace(std::time::Instant::now()) {
-                        ids_obs::record_metric(
-                            ids_obs::Metric::RestartSegmentUs,
-                            start.elapsed().as_micros() as u64,
-                        );
-                    }
-                    if heartbeat_every != 0 {
-                        self.emit_heartbeat();
-                    }
-                    self.restart_limit = match self.options.restart {
-                        RestartPolicy::Luby { unit } => {
-                            unit.max(1) * luby(self.restarts_this_solve + 1)
-                        }
-                        RestartPolicy::Geometric { .. } => {
-                            self.restart_limit + self.restart_limit / 2
-                        }
-                    };
-                    self.backtrack(0);
-                    if self.options.clause_db.enabled
-                        && self.conflicts_since_reduce >= self.reduce_limit
-                    {
-                        self.reduce_db();
-                    }
-                }
-            } else {
-                // Assumptions are (re-)decided before any free decision; a
-                // backjump or restart may have undone some of them.
-                let mut assumed = None;
-                for i in 0..self.assumptions.len() {
-                    let a = self.assumptions[i];
-                    match self.lit_value(a) {
-                        Value::True => continue,
-                        // Implied false by clauses and earlier assumptions
-                        // alone: unsatisfiable under the assumptions. The
-                        // clause set itself stays consistent (`ok` untouched).
-                        Value::False => {
-                            self.unsat_core = self.analyze_final(a);
-                            return SatResult::Unsat;
-                        }
-                        Value::Unassigned => {
-                            assumed = Some(a);
-                            break;
-                        }
-                    }
-                }
-                if let Some(a) = assumed {
-                    self.decisions += 1;
-                    self.trail_lim.push(self.trail.len());
-                    self.enqueue(a, None);
-                    continue;
-                }
-                match self.pick_branch_var() {
-                    None => return SatResult::Sat,
-                    Some(v) => {
+                let (learned, bj) = self.analyze(ConflictRef::Clause(conf));
+                self.learn(learned, bj);
+                self.after_conflict(&mut obs_span, &mut seg_start);
+                continue;
+            }
+            // A propagation fixpoint: let the theory see the new literals
+            // before the next decision.
+            let mut complete = false;
+            if self.theory_head == self.trail.len() {
+                match self.next_decision() {
+                    Ok(Some(l)) => {
                         self.decisions += 1;
                         self.trail_lim.push(self.trail.len());
-                        let phase = self.phase[v as usize];
-                        self.enqueue(Lit::new(v, phase), None);
+                        self.enqueue(l, None);
+                        continue;
+                    }
+                    Ok(None) => complete = true,
+                    Err(failed) => {
+                        // An assumption implied false by clauses and earlier
+                        // assumptions alone: unsatisfiable under the
+                        // assumptions. The clause set itself stays consistent
+                        // (`ok` untouched).
+                        self.unsat_core = self.analyze_final(failed);
+                        return SatResult::Unsat;
                     }
                 }
             }
+            let stable = std::mem::replace(&mut self.theory_head, self.trail.len());
+            match theory.check(&self.trail, stable, complete) {
+                TheoryVerdict::Consistent if complete => return SatResult::Sat,
+                TheoryVerdict::Consistent => {}
+                TheoryVerdict::Unknown => return SatResult::Unknown,
+                TheoryVerdict::Conflict(lits) => {
+                    self.theory_conflicts += 1;
+                    if !self.resolve_theory_conflict(lits) {
+                        self.ok = false;
+                        return SatResult::Unsat;
+                    }
+                    self.after_conflict(&mut obs_span, &mut seg_start);
+                }
+            }
+        }
+    }
+
+    /// The next decision literal: the first assumption not yet true, or a
+    /// free variable at its saved phase (`None`: the assignment is complete).
+    /// Assumptions are (re-)decided before any free decision, since a
+    /// backjump or restart may have undone some of them; an assumption that
+    /// is already false is returned as the error.
+    fn next_decision(&mut self) -> Result<Option<Lit>, Lit> {
+        for i in 0..self.assumptions.len() {
+            let a = self.assumptions[i];
+            match self.lit_value(a) {
+                Value::True => continue,
+                Value::False => return Err(a),
+                Value::Unassigned => return Ok(Some(a)),
+            }
+        }
+        Ok(self
+            .pick_branch_var()
+            .map(|v| Lit::new(v, self.phase[v as usize])))
+    }
+
+    /// Bookkeeping after any learned conflict (Boolean or theory): activity
+    /// decay, and the restart and clause-deletion schedule.
+    fn after_conflict(
+        &mut self,
+        obs_span: &mut ids_obs::SegmentedSpan,
+        seg_start: &mut Option<std::time::Instant>,
+    ) {
+        self.act_inc *= 1.05;
+        self.cla_inc *= 1.001;
+        self.conflicts_since_reduce += 1;
+        self.conflicts_since_restart += 1;
+        if self.conflicts_since_restart <= self.restart_limit {
+            return;
+        }
+        self.conflicts_since_restart = 0;
+        self.restarts_this_solve += 1;
+        self.restarts += 1;
+        let restarts_here = self.restarts_this_solve;
+        obs_span.restart(|| format!("restart {restarts_here}"));
+        if let Some(start) = seg_start.replace(std::time::Instant::now()) {
+            ids_obs::record_metric(
+                ids_obs::Metric::RestartSegmentUs,
+                start.elapsed().as_micros() as u64,
+            );
+        }
+        if ids_obs::heartbeat_interval() != 0 {
+            self.emit_heartbeat();
+        }
+        self.restart_limit = match self.options.restart {
+            RestartPolicy::Luby { unit } => unit.max(1) * luby(self.restarts_this_solve + 1),
+            RestartPolicy::Geometric { .. } => self.restart_limit + self.restart_limit / 2,
+        };
+        self.backtrack(0);
+        if self.options.clause_db.enabled && self.conflicts_since_reduce >= self.reduce_limit {
+            self.reduce_db();
         }
     }
 
@@ -931,12 +982,11 @@ impl SatSolver {
         core
     }
 
-    /// Deletes the worst half of the deletable learned clauses: highest LBD
-    /// first, lowest activity as the tie-breaker. Glue clauses
+    /// Deletes the worst half of the learned clauses: highest LBD first,
+    /// lowest activity as the tie-breaker. Glue clauses
     /// (LBD ≤ [`ClauseDbOptions::glue_lbd`]), locked clauses (the reason of
-    /// an assigned literal), input clauses and theory conflict clauses are
-    /// kept — see the module documentation for why each class is safe or
-    /// necessary to keep.
+    /// an assigned literal) and input clauses are kept — see the module
+    /// documentation for why each class is safe or necessary to keep.
     fn reduce_db(&mut self) {
         self.conflicts_since_reduce = 0;
         self.reduce_limit = self
@@ -951,7 +1001,7 @@ impl SatSolver {
         let mut cands: Vec<usize> = (0..self.clauses.len())
             .filter(|&ci| {
                 let c = &self.clauses[ci];
-                c.deletable && !c.deleted && c.lbd > glue && !locked.contains(&ci)
+                c.learned && !c.deleted && c.lbd > glue && !locked.contains(&ci)
             })
             .collect();
         // Worst first: high LBD, then low activity (ties by index for
@@ -1196,15 +1246,36 @@ mod tests {
         assert!(s.unsat_core.is_empty());
     }
 
-    /// The satellite pin of the cross-round schedule fix: continuation
-    /// rounds (as the DPLL(T) loop issues between theory checks) must keep
-    /// advancing the restart schedule instead of rewinding it, so the
-    /// clause-deletion cadence actually fires on multi-round problems. Each
-    /// round here contributes only a few conflicts — under the old per-call
-    /// schedule no single round ever reached a restart, so `reduce_db`
-    /// (which only runs at restarts) never fired.
+    /// A test theory: refutes the first `budget` complete assignments by
+    /// blocking the values of `vars` (the way a final-check simplex conflict
+    /// blames literals decided long before), then accepts.
+    struct ModelBlocker {
+        vars: Vec<Var>,
+        budget: usize,
+        blocked: usize,
+    }
+
+    impl Theory for ModelBlocker {
+        fn check(&mut self, trail: &[Lit], _: usize, complete: bool) -> TheoryVerdict {
+            if !complete || self.blocked == self.budget {
+                return TheoryVerdict::Consistent;
+            }
+            self.blocked += 1;
+            let value = |v: Var| trail.iter().find(|l| l.var() == v).map(|l| l.is_positive());
+            TheoryVerdict::Conflict(
+                self.vars
+                    .iter()
+                    .map(|&v| lit(v, value(v) != Some(true)))
+                    .collect(),
+            )
+        }
+    }
+
+    /// The restart schedule and the clause-deletion cadence advance with
+    /// theory conflicts too: a theory-bound search whose Boolean part never
+    /// conflicts must still restart and reduce its clause database.
     #[test]
-    fn schedule_persists_across_continuation_rounds() {
+    fn schedule_advances_across_theory_conflicts() {
         let options = SatOptions {
             restart: RestartPolicy::Luby { unit: 2 },
             clause_db: ClauseDbOptions {
@@ -1233,39 +1304,86 @@ mod tests {
             s.add_clause(c);
         }
         let act = s.new_var();
-        assert_eq!(s.solve_under(&[lit(act, true)]), SatResult::Sat);
-        let mut continued = 0u64;
-        for _ in 0..60 {
-            // Refute the current model the way a theory conflict would, then
-            // continue the same solve.
-            let blocking: Vec<Lit> = vars
-                .iter()
-                .take(8)
-                .map(|&v| lit(v, s.value(v) != Some(true)))
-                .collect();
-            s.add_theory_conflict(blocking);
-            if s.solve_continue_under(&[lit(act, true)]) != SatResult::Sat {
-                break;
-            }
-            continued += 1;
+        let mut theory = ModelBlocker {
+            vars: vars[..8].to_vec(),
+            budget: 60,
+            blocked: 0,
+        };
+        let r = s.solve_under_theory(&[lit(act, true)], &mut theory);
+        assert_eq!(s.theory_conflicts, theory.blocked as u64);
+        assert!(theory.blocked > 5, "need a genuinely theory-bound run");
+        if r == SatResult::Sat {
+            assert_eq!(theory.blocked, theory.budget);
         }
-        assert!(continued > 5, "need a genuinely multi-round run");
         assert!(
             s.restarts > 0,
-            "continuation rounds must reach the restart schedule (conflicts {})",
-            s.conflicts
+            "theory conflicts must reach the restart schedule (theory conflicts {})",
+            s.theory_conflicts
         );
         assert!(
             s.learned_deleted > 0,
-            "clause deletion must fire across continuation rounds \
-             (restarts {}, conflicts {})",
-            s.restarts,
-            s.conflicts
+            "clause deletion must fire on theory conflicts (restarts {})",
+            s.restarts
         );
     }
 
-    /// The flip side of cross-round persistence: a *fresh* solve rewinds the
-    /// restart schedule to its beginning.
+    /// A final-check theory conflict whose highest level lies below the
+    /// current decision level. With one literal at that level, the clause
+    /// asserts it after a backjump; here that refutes an assumption, so the
+    /// solve is Unsat with exactly the blamed assumptions as its core.
+    #[test]
+    fn theory_conflict_below_the_current_level_backjumps() {
+        let mut s = SatSolver::new();
+        let xs: Vec<Var> = (0..6).map(|_| s.new_var()).collect();
+        // x0..x3 are decided at levels 1..4, x4 and x5 freely after them.
+        let assumptions: Vec<Lit> = xs[..4].iter().map(|&v| lit(v, true)).collect();
+        let mut theory = ModelBlocker {
+            vars: xs[..2].to_vec(),
+            budget: usize::MAX,
+            blocked: 0,
+        };
+        let r = s.solve_under_theory(&assumptions, &mut theory);
+        assert_eq!(r, SatResult::Unsat);
+        assert_eq!(theory.blocked, 1, "one conflict, resolved by a backjump");
+        assert_eq!(s.unsat_core, vec![lit(xs[0], true), lit(xs[1], true)]);
+        // The learned unit-at-level-1 clause ~x0 | ~x1 persists: assuming
+        // only x0 now propagates ~x1 without consulting the theory.
+        let mut quiet = ModelBlocker {
+            vars: Vec::new(),
+            budget: 0,
+            blocked: 0,
+        };
+        assert_eq!(
+            s.solve_under_theory(&assumptions[..1], &mut quiet),
+            SatResult::Sat
+        );
+        assert_eq!(s.value(xs[1]), Some(false));
+    }
+
+    /// A theory conflict with two literals at its highest level goes through
+    /// first-UIP analysis: `x0 -> y` puts `y` at `x0`'s level, and the theory
+    /// refutes `x0 & y`, so the learned clause is the unit `~x0`.
+    #[test]
+    fn theory_conflict_with_two_top_level_literals_is_analyzed() {
+        let mut s = SatSolver::new();
+        let x0 = s.new_var();
+        let y = s.new_var();
+        let z = s.new_var();
+        s.add_clause(vec![lit(x0, false), lit(y, true)]);
+        let mut theory = ModelBlocker {
+            vars: vec![x0, y],
+            budget: usize::MAX,
+            blocked: 0,
+        };
+        let r = s.solve_under_theory(&[lit(x0, true), lit(z, true)], &mut theory);
+        assert_eq!(r, SatResult::Unsat);
+        assert_eq!(s.unsat_core, vec![lit(x0, true)]);
+        // ~x0 was learned as a root-level unit.
+        assert_eq!(s.solve(), SatResult::Sat);
+        assert_eq!(s.value(x0), Some(false));
+    }
+
+    /// A fresh solve rewinds the restart schedule to its beginning.
     #[test]
     fn fresh_solve_rewinds_restart_schedule() {
         let options = SatOptions {

@@ -1,13 +1,13 @@
 //! The one-shot SMT facade: solver configuration, statistics, and
 //! [`Solver`], which checks one assertion set from scratch.
 //!
-//! There is one DPLL(T) engine, the trail-based loop of
+//! There is one DPLL(T) engine, the online search of
 //! [`crate::IncrementalSolver`]. A [`Solver::check`] eliminates quantifiers
 //! (quantified mode only, [`crate::quant`]) and runs one check of a fresh
 //! session over the resulting ground assertions. Because the lowering pass
 //! instantiates all the set and array structure, termination is guaranteed
-//! for the decidable FWYB fragment (finitely many propositional models, each
-//! rejected at most once).
+//! for the decidable FWYB fragment (finitely many propositional assignments,
+//! each theory conflict learned as a valid lemma).
 
 use crate::incremental::IncrementalSolver;
 use crate::model::Model;
@@ -54,17 +54,14 @@ impl SolverProfile {
 /// Tuning knobs of the solver.
 #[derive(Clone, Copy, Debug)]
 pub struct SolverConfig {
-    /// Maximum number of theory-check/conflict-clause rounds.
+    /// Maximum number of theory conflicts in one check; past it the check
+    /// answers [`SatResult::Unknown`].
     pub max_theory_rounds: usize,
     /// Whether quantifiers are allowed (RQ3 quantified mode); if false, a
     /// formula containing `forall` yields `Unknown`.
     pub allow_quantifiers: bool,
     /// Quantifier instantiation configuration (quantified mode only).
     pub quant: QuantConfig,
-    /// If true (the default), the CDCL search is continued across theory
-    /// rounds instead of being restarted from scratch after every theory
-    /// conflict clause. The `ablation_bench` bench compares both modes.
-    pub incremental_sat: bool,
     /// SAT-core options: restart policy and learned-clause database.
     pub sat: SatOptions,
     /// Simplex pivot rule used by the theory checker.
@@ -77,7 +74,6 @@ impl Default for SolverConfig {
             max_theory_rounds: 200_000,
             allow_quantifiers: false,
             quant: QuantConfig::default(),
-            incremental_sat: true,
             sat: SatOptions::default(),
             pivot: PivotRule::hybrid(),
         }
@@ -129,9 +125,18 @@ impl SolverConfig {
 /// added field fails compilation until its rule is pinned.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SolverStats {
-    /// Theory check rounds performed. Merge: **sum**.
+    /// Theory checks performed: at propagation fixpoints of a partial
+    /// assignment and on complete assignments. Merge: **sum**.
     pub theory_rounds: u64,
-    /// SAT conflicts. Merge: **sum**.
+    /// Of `theory_rounds`, the checks (EUF only) at propagation fixpoints of
+    /// a partial assignment; the rest checked a complete assignment.
+    /// Merge: **sum**.
+    pub theory_partial_checks: u64,
+    /// Theory conflicts, partial and complete checks together.
+    /// Merge: **sum**.
+    pub theory_conflicts: u64,
+    /// SAT conflicts (Boolean; theory conflicts are counted apart).
+    /// Merge: **sum**.
     pub sat_conflicts: u64,
     /// SAT decisions. Merge: **sum**.
     pub sat_decisions: u64,
@@ -142,17 +147,18 @@ pub struct SolverStats {
     pub initial_clauses: u64,
     /// Number of theory atoms. Merge: **sum**.
     pub atoms: u64,
-    /// Wall-clock time spent inside the SAT core. Merge: **sum**.
+    /// Wall-clock time spent inside the SAT core's search, minus the time
+    /// spent in its theory hook. Merge: **sum**.
     pub sat_time: std::time::Duration,
-    /// Wall-clock time spent inside the theory checker (EUF + simplex +
-    /// conflict explanation). Merge: **sum**.
+    /// Wall-clock time spent inside the theory hook (EUF + simplex +
+    /// conflict explanation), partial and complete checks. Merge: **sum**.
     pub theory_time: std::time::Duration,
     /// Wall-clock time spent lowering assertions (set/array finite
     /// instantiation) before CNF conversion, including quantifier
     /// instantiation in quantified mode. Merge: **sum**.
     pub lower_time: std::time::Duration,
-    /// Wall-clock time of the EUF congruence passes (a component of
-    /// `theory_time`). Merge: **sum**.
+    /// Wall-clock time of the EUF checks: `theory_time` minus
+    /// `simplex_time`. Merge: **sum**.
     pub euf_time: std::time::Duration,
     /// Wall-clock time of the simplex passes (a component of `theory_time`).
     /// Merge: **sum**.
@@ -202,12 +208,11 @@ pub struct SolverStats {
     /// slice hits; the saving the cached cores bought). Always 0 for a
     /// one-shot [`Solver::check`]. Merge: **sum**.
     pub slice_dropped_hyps: u64,
-    /// Literals handed to the trail-based theory session, summed over the
-    /// theory rounds. Merge: **sum**.
+    /// Literals asserted in the trail-based theory session at each theory
+    /// check, summed over the checks (partial and complete). Merge: **sum**.
     pub theory_lits: u64,
-    /// Of `theory_lits`, the literals the session actually asserted: those
-    /// past the prefix it shared with the previous round's trail.
-    /// Merge: **sum**.
+    /// Of `theory_lits`, the literals each check newly asserted: those past
+    /// the prefix it shared with the previous check's trail. Merge: **sum**.
     pub theory_lits_asserted: u64,
 }
 
@@ -217,6 +222,8 @@ impl SolverStats {
     /// the `learned_kept` and `max_lbd` gauges take the maximum.
     pub fn merge(&mut self, other: &SolverStats) {
         self.theory_rounds += other.theory_rounds;
+        self.theory_partial_checks += other.theory_partial_checks;
+        self.theory_conflicts += other.theory_conflicts;
         self.sat_conflicts += other.sat_conflicts;
         self.sat_decisions += other.sat_decisions;
         self.sat_propagations += other.sat_propagations;
@@ -552,6 +559,8 @@ mod tests {
             slice_dropped_hyps: seed + 22,
             theory_lits: seed + 23,
             theory_lits_asserted: seed + 24,
+            theory_partial_checks: seed + 25,
+            theory_conflicts: seed + 26,
         };
         let (a, b) = (mk(100), mk(5));
         let mut merged = a;
@@ -582,6 +591,8 @@ mod tests {
             slice_dropped_hyps,
             theory_lits,
             theory_lits_asserted,
+            theory_partial_checks,
+            theory_conflicts,
         } = merged;
         // Sums: effort counters and wall-clock times.
         assert_eq!(theory_rounds, a.theory_rounds + b.theory_rounds);
@@ -612,6 +623,11 @@ mod tests {
             theory_lits_asserted,
             a.theory_lits_asserted + b.theory_lits_asserted
         );
+        assert_eq!(
+            theory_partial_checks,
+            a.theory_partial_checks + b.theory_partial_checks
+        );
+        assert_eq!(theory_conflicts, a.theory_conflicts + b.theory_conflicts);
         // Gauges: merge must keep the maximum, in either merge order.
         assert_eq!(learned_kept, a.learned_kept.max(b.learned_kept));
         assert_eq!(max_lbd, a.max_lbd.max(b.max_lbd));

@@ -15,10 +15,11 @@
 //!
 //! Everything that only depends on the *atoms* (term universe, congruence
 //! template, linearized arithmetic forms) is precomputed once per session in
-//! a [`TheoryChecker`] and reused across rounds by the trail-based theory
-//! session of the DPLL(T) loop. [`TheoryChecker::check_with`] decides one
-//! model from scratch: the stateless reference that the session's
-//! differential fuzzes and the `IDS_TRAIL_ORACLE` hook compare against.
+//! a [`TheoryChecker`] and reused across checks by the trail-based theory
+//! session of the DPLL(T) search. [`TheoryChecker::check_with`] decides one
+//! model from scratch, and [`TheoryChecker::check_euf`] its EUF part: the
+//! stateless references that the session's differential fuzzes and the
+//! `IDS_TRAIL_ORACLE` hook compare against.
 
 use crate::euf::{Euf, EufOutcome, EufTemplate};
 use crate::fxmap::FxHashMap;
@@ -157,26 +158,48 @@ impl TheoryChecker {
     /// Checks the conjunction of `literals` (atom term, polarity) for
     /// consistency in EUF + linear arithmetic, using Bland's pivot rule.
     pub fn check(&self, tm: &TermManager, literals: &[(TermId, bool)]) -> TheoryCheck {
-        self.check_with(tm, literals, PivotRule::Bland).0
+        self.check_with(tm, literals, PivotRule::Bland)
     }
 
-    /// Like [`TheoryChecker::check`], but with an explicit simplex pivot rule
-    /// and returning the per-theory telemetry of the check (the `pivots` and
-    /// `euf_time`/`simplex_time` fields of [`crate::SolverStats`]).
+    /// Checks the EUF part of `literals` alone: equalities, disequalities
+    /// and predicates, ignoring every arithmetic constraint. The reference
+    /// for the trail session's partial (EUF-only) checks.
+    pub fn check_euf(&self, tm: &TermManager, literals: &[(TermId, bool)]) -> TheoryCheck {
+        match self.euf_of(tm, literals).check() {
+            EufOutcome::Conflict(tags) => TheoryCheck::Conflict(clean_tags(tags)),
+            EufOutcome::Consistent => TheoryCheck::Consistent,
+        }
+    }
+
+    /// A batch congruence closure over the EUF part of `literals` (tagged by
+    /// their index), not yet closed.
+    fn euf_of<'t>(&'t self, tm: &'t TermManager, literals: &[(TermId, bool)]) -> Euf<'t> {
+        let mut euf = Euf::with_template(tm, &self.template);
+        euf.assert_neq(self.tru, self.fls, AXIOM_TAG);
+        for (idx, &(atom, positive)) in literals.iter().enumerate() {
+            match self.kinds.get(&atom) {
+                Some(AtomKind::Eq { a, b, .. }) if positive => euf.assert_eq(*a, *b, idx),
+                // Negative numeric equalities are covered by the trichotomy
+                // lemmas added during lowering.
+                Some(AtomKind::Eq { a, b, .. }) => euf.assert_neq(*a, *b, idx),
+                Some(AtomKind::Ineq { .. }) => {}
+                Some(AtomKind::Pred) | None => {
+                    let target = if positive { self.tru } else { self.fls };
+                    euf.assert_eq(atom, target, idx);
+                }
+            }
+        }
+        euf
+    }
+
+    /// Like [`TheoryChecker::check`], but with an explicit simplex pivot rule.
     pub fn check_with(
         &self,
         tm: &TermManager,
         literals: &[(TermId, bool)],
         pivot: PivotRule,
-    ) -> (TheoryCheck, TheoryTelemetry) {
-        let (tru, fls) = (self.tru, self.fls);
-        let mut tel = TheoryTelemetry::default();
-
-        // ------------------------------------------------------------- EUF pass
-        let euf_start = std::time::Instant::now();
-        let euf_span = ids_obs::span("euf");
-        let mut euf = Euf::with_template(tm, &self.template);
-        euf.assert_neq(tru, fls, AXIOM_TAG);
+    ) -> TheoryCheck {
+        let mut euf = self.euf_of(tm, literals);
 
         // Arithmetic literals are collected and loaded after EUF, because EUF
         // equalities over numeric terms must be propagated into the simplex.
@@ -187,25 +210,17 @@ impl TheoryChecker {
             tag: usize,
         }
         let mut arith_lits: Vec<ArithLit<'_>> = Vec::new();
-
         for (idx, &(atom, positive)) in literals.iter().enumerate() {
             match self.kinds.get(&atom) {
-                Some(AtomKind::Eq { a, b, lin }) => {
-                    if positive {
-                        euf.assert_eq(*a, *b, idx);
-                        if let Some(form) = lin {
-                            arith_lits.push(ArithLit {
-                                form: std::borrow::Cow::Borrowed(form),
-                                rel: Rel::Eq,
-                                both_int: false,
-                                tag: idx,
-                            });
-                        }
-                    } else {
-                        euf.assert_neq(*a, *b, idx);
-                        // Negative numeric equalities are covered by the
-                        // trichotomy lemmas added during lowering.
-                    }
+                Some(AtomKind::Eq {
+                    lin: Some(form), ..
+                }) if positive => {
+                    arith_lits.push(ArithLit {
+                        form: std::borrow::Cow::Borrowed(form),
+                        rel: Rel::Eq,
+                        both_int: false,
+                        tag: idx,
+                    });
                 }
                 Some(AtomKind::Ineq {
                     lin,
@@ -231,30 +246,18 @@ impl TheoryChecker {
                         tag: idx,
                     });
                 }
-                Some(AtomKind::Pred) | None => {
-                    let target = if positive { tru } else { fls };
-                    euf.assert_eq(atom, target, idx);
-                }
+                _ => {}
             }
         }
 
-        match euf.check() {
-            EufOutcome::Conflict(tags) => {
-                tel.euf_time = euf_start.elapsed();
-                return (TheoryCheck::Conflict(clean_tags(tags)), tel);
-            }
-            EufOutcome::Consistent => {}
+        if let EufOutcome::Conflict(tags) = euf.check() {
+            return TheoryCheck::Conflict(clean_tags(tags));
         }
-        drop(euf_span);
-        tel.euf_time = euf_start.elapsed();
 
         // ------------------------------------------------------ arithmetic pass
         if arith_lits.is_empty() {
-            return (TheoryCheck::Consistent, tel);
+            return TheoryCheck::Consistent;
         }
-
-        let simplex_start = std::time::Instant::now();
-        let mut simplex_span = ids_obs::span("simplex");
         let mut simplex = Simplex::with_rule(pivot);
         let mut var_of_term: FxHashMap<TermId, usize> = FxHashMap::default();
         // Tags >= DERIVED_BASE refer to EUF-derived equalities; their explanation
@@ -301,10 +304,7 @@ impl TheoryChecker {
             }
         }
         if let Some(tags) = load_error {
-            simplex_span.note(|| format!("pivots={}", simplex.pivots));
-            tel.pivots = simplex.pivots;
-            tel.simplex_time = simplex_start.elapsed();
-            return (conflict_from(tags, &derived_explanations), tel);
+            return conflict_from(tags, &derived_explanations);
         }
 
         // Propagate EUF-derived equalities between numeric atom terms.
@@ -327,43 +327,33 @@ impl TheoryChecker {
                 let mut expr = LinExpr::variable(var_of_term[&a]);
                 expr.add_term(-Rat::ONE, var_of_term[&b]);
                 if let Err(tags) = simplex.add_constraint(&expr, Rel::Eq, derived_tag) {
-                    simplex_span.note(|| format!("pivots={}", simplex.pivots));
-                    tel.pivots = simplex.pivots;
-                    tel.simplex_time = simplex_start.elapsed();
-                    return (conflict_from(tags, &derived_explanations), tel);
+                    return conflict_from(tags, &derived_explanations);
                 }
             }
         }
 
-        let outcome = match simplex.check() {
+        match simplex.check() {
             ArithOutcome::Sat(_) => TheoryCheck::Consistent,
             ArithOutcome::Conflict(tags) => conflict_from(tags, &derived_explanations),
             ArithOutcome::Unknown => TheoryCheck::Unknown,
-        };
-        simplex_span.note(|| format!("pivots={}", simplex.pivots));
-        tel.pivots = simplex.pivots;
-        tel.simplex_time = simplex_start.elapsed();
-        (outcome, tel)
+        }
     }
 }
 
-/// Per-theory telemetry of one [`TheoryChecker::check_with`] call, folded
-/// into [`crate::SolverStats`] by the DPLL(T) loops.
+/// Simplex telemetry of one theory-session check, folded into
+/// [`crate::SolverStats`] by the theory hook (EUF time is the rest of the
+/// hook's time).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TheoryTelemetry {
     /// Simplex pivots performed (0 when the arithmetic pass did not run).
     pub pivots: u64,
-    /// Wall-clock time of the EUF congruence pass.
-    pub euf_time: std::time::Duration,
     /// Wall-clock time of the simplex pass (zero when it did not run).
     pub simplex_time: std::time::Duration,
 }
 
 /// Checks the conjunction of `literals` (atom term, polarity) for consistency.
 ///
-/// This is the one-shot convenience wrapper around [`TheoryChecker`]; the lazy
-/// DPLL(T) loop builds the checker once and calls [`TheoryChecker::check`]
-/// directly.
+/// This is the one-shot convenience wrapper around [`TheoryChecker`].
 pub fn check_literals(tm: &mut TermManager, literals: &[(TermId, bool)]) -> TheoryCheck {
     let atoms: Vec<TermId> = literals.iter().map(|&(t, _)| t).collect();
     let checker = TheoryChecker::new(tm, &atoms);

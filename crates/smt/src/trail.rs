@@ -1,58 +1,74 @@
-//! Trail-based persistent theory state for the incremental DPLL(T) loop.
+//! Trail-based persistent theory state for the online DPLL(T) engine.
 //!
-//! The batch [`crate::theory::TheoryChecker`] rebuilds congruence closure and
-//! a fresh simplex tableau for every propositional model the SAT core hands
-//! over. On heavyweight VCs the models of consecutive rounds share almost all
-//! of their literals (CDCL backjumps keep a long trail prefix), so nearly all
-//! of that work is re-derivation of state the previous round already had.
-//!
-//! [`TheorySession`] keeps the theory state alive across rounds and processes
-//! only the *delta*: the previous trail past its longest common prefix with
-//! the new literal list is retracted, the rest of the list asserted. Nothing
-//! else is undone, even after a conflict: the SAT backjump retracts a
-//! conflict literal, and the next round pops exactly what the SAT trail
-//! changed. Retraction is exact undo —
+//! [`TheorySession`] is the theory side of the SAT core's theory hook
+//! ([`crate::sat::Theory`]). The SAT core calls it at every propagation
+//! fixpoint and on every complete assignment, with its trail and the length
+//! of the trail prefix that is unchanged since the previous call. The session
+//! keeps the literals of that prefix asserted, retracts its own entries past
+//! it, and asserts the new suffix; only live theory atoms are asserted
+//! (Tseitin variables and dead atoms are skipped). At a fixpoint it then
+//! runs the EUF check alone; on a complete assignment it also loads the
+//! simplex and propagates EUF-derived equalities into it. Nothing is undone
+//! after a conflict: the SAT backjump retracts a conflict literal, and the
+//! next call pops exactly what the SAT trail changed. Retraction is exact
+//! undo —
 //!
 //! * EUF is a union-find **without path compression** (so links can be
 //!   unwound), with union-by-size, a proof forest for explanations, per-class
-//!   use-lists for incremental congruence, and an exact signature table in
-//!   which *every* mutation is recorded on an undo trail. Popping a literal
-//!   restores the structure bit-for-bit: the state, and so every conflict
-//!   explanation, equals a fresh replay of the round's literals.
-//! * Simplex keeps its tableau, basis and slack variables across rounds
+//!   use-lists for incremental congruence, an exact signature table and
+//!   per-class disequality lists, in which *every* mutation is recorded on an
+//!   undo trail. Popping a literal restores the structure bit-for-bit: the
+//!   state, and so every conflict explanation, equals a fresh replay of the
+//!   asserted literals.
+//! * Asserting a literal allocates nothing once the buffers have grown:
+//!   signature keys are fixed-size arrays for arity ≤ 3, the merge worklist
+//!   is a reused buffer, proof-forest re-rooting reverses the path in place,
+//!   and explanations find common ancestors with a stamped array.
+//! * Disequalities are checked incrementally: a merge scans the disequality
+//!   list of one of the two classes and records each disequality it
+//!   violates, so a check only looks at the violations recorded since the
+//!   state was last consistent, not at every disequality.
+//! * Simplex keeps its tableau, basis and slack variables across checks
 //!   (warm restart); retraction only rolls back bound tightenings via
 //!   [`crate::simplex::Simplex::undo_to`]. Slack variables are reused across
 //!   re-assertions of the same linear form so the tableau does not grow with
-//!   the number of rounds.
+//!   the number of checks.
 //!
-//! Simplex parts are loaded after the EUF phase, so an EUF conflict leaves
-//! the new literals unloaded. Loaded entries always form a prefix of the
-//! trail; the rest have `simplex_mark == usize::MAX`. Each simplex phase
-//! loads from that watermark on, and a load conflict unloads only the
-//! literal that failed.
+//! Simplex parts are loaded only by complete checks, after the EUF phase.
+//! Loaded entries always form a prefix of the trail; the rest have
+//! `simplex_mark == usize::MAX`. Each simplex phase loads from that
+//! watermark on, and a load conflict unloads only the literal that failed.
 //!
 //! Verdicts are identical to the batch path: congruence closure reaches the
 //! same fixpoint regardless of merge order, simplex verdicts are independent
 //! of pivot history, and the EUF-derived equality propagation is restricted
 //! to exactly the numeric leaf terms of the *currently asserted* literals
-//! (the same set the batch path derives per round). Conflict *explanations*
+//! (the same set the batch path derives per check). Conflict *explanations*
 //! may differ from the batch path's (different merge/pivot order picks a
 //! different valid inconsistent subset), which is fine for DPLL(T): any
 //! inconsistent subset yields a sound theory lemma.
 
-use std::collections::HashMap;
-
 use crate::euf::{EufTemplate, Reason};
 use crate::fxmap::FxHashMap;
 use crate::rational::Rat;
+use crate::sat::Lit;
 use crate::simplex::{ArithOutcome, LinExpr, PivotRule, Rel, Simplex};
-use crate::term::{TermId, TermManager};
+use crate::term::TermId;
 use crate::theory::{AtomKind, LinForm, TheoryChecker, TheoryTelemetry, AXIOM_TAG};
 
-/// Tags at or above this refer to per-round EUF-derived equalities; their
+/// Tags at or above this refer to per-check EUF-derived equalities; their
 /// explanations (trail tags) replace them in conflicts. Trail indices are far
 /// below this for any conceivable literal count.
 const DERIVED_BASE: usize = usize::MAX / 2;
+
+/// An exact congruence signature: the interned operator and the class roots
+/// of the arguments. Arity ≤ 3 (every built-in operator) fits a fixed array
+/// padded with `u32::MAX`, so hashing and trailing it allocates nothing.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+enum SigKey {
+    Short([u32; 4]),
+    Long(Box<[u32]>),
+}
 
 /// One reversible mutation of [`EufState`], undone in reverse order.
 #[derive(Clone, Debug)]
@@ -66,20 +82,22 @@ enum UndoOp {
         loser_root: usize,
         winner_root: usize,
         winner_use_len: usize,
+        winner_diseq_len: usize,
     },
     /// A fresh signature-table entry under this key (entries are never
     /// overwritten: a colliding key means congruent nodes, which get merged).
-    SigInsert(Vec<u32>),
-    /// A pushed disequality.
-    Diseq,
+    SigInsert(SigKey),
+    /// A pushed disequality, listed under the classes rooted at `ra` and
+    /// `rb` (once if they are equal).
+    Diseq { ra: usize, rb: usize },
     /// A pushed asserted-equation tag.
     EqTag,
 }
 
 /// Backtrackable congruence closure: the incremental, exact-undo counterpart
 /// of the batch [`crate::euf::Euf`] solver. Congruence is maintained eagerly
-/// on every assertion (use-list driven), so there is no per-round fixpoint
-/// pass over all application nodes.
+/// on every assertion (use-list driven), so there is no fixpoint pass over
+/// all application nodes.
 #[derive(Clone, Debug)]
 pub(crate) struct EufState {
     template: EufTemplate,
@@ -95,14 +113,28 @@ pub(crate) struct EufState {
     /// class rooted at `r` (maintained by appending the loser's list to the
     /// winner's on merge; undo truncates the winner's list).
     use_lists: Vec<Vec<u32>>,
-    /// Exact signature table: `[op, rep(arg0), rep(arg1), …]` → application
-    /// index. A lookup hit means true congruence (no hashing ambiguity).
-    /// Keys containing a merged-away root are unreachable until the merge is
-    /// undone, at which point the table has been restored to match.
-    sig_table: FxHashMap<Vec<u32>, u32>,
+    /// The application index of each node (`u32::MAX` for non-applications).
+    app_of: Vec<u32>,
+    /// Exact signature table: [`SigKey`] → application index. A lookup hit
+    /// means true congruence (no hashing ambiguity). Keys containing a
+    /// merged-away root are unreachable until the merge is undone, at which
+    /// point the table has been restored to match.
+    sig_table: FxHashMap<SigKey, u32>,
+    /// Asserted disequalities: nodes and tag.
     diseqs: Vec<(usize, usize, usize)>,
+    /// `diseq_lists[r]`: indices of the disequalities with an endpoint in the
+    /// class rooted at `r`, merged and undone like `use_lists`.
+    diseq_lists: Vec<Vec<u32>>,
+    /// Violated disequalities in detection order, each with the index of the
+    /// undo entry that violated it (undoing that entry clears it).
+    violated: Vec<(u32, usize)>,
     eq_tags: Vec<usize>,
     undo: Vec<UndoOp>,
+    /// The merge worklist, kept to reuse its buffer.
+    pending: Vec<(usize, usize, Reason)>,
+    /// Stamps of the nodes visited by the current explanation step.
+    stamp: Vec<u32>,
+    stamp_gen: u32,
     explain_incomplete: bool,
 }
 
@@ -115,14 +147,21 @@ impl EufState {
             size: vec![1; n],
             pf_parent: vec![None; n],
             use_lists: vec![Vec::new(); n],
+            app_of: vec![u32::MAX; n],
             sig_table: FxHashMap::default(),
             diseqs: Vec::new(),
+            diseq_lists: vec![Vec::new(); n],
+            violated: Vec::new(),
             eq_tags: Vec::new(),
             undo: Vec::new(),
+            pending: Vec::new(),
+            stamp: vec![0; n],
+            stamp_gen: 0,
             explain_incomplete: false,
             template,
         };
         for (ai, app) in st.template.app_nodes.iter().enumerate() {
+            st.app_of[app.node] = ai as u32;
             for &arg in &app.args {
                 st.use_lists[arg].push(ai as u32);
             }
@@ -165,19 +204,24 @@ impl EufState {
     }
 
     /// Exact signature of an application node under the current classes.
-    fn sig(&self, ai: usize) -> Vec<u32> {
+    fn sig(&self, ai: usize) -> SigKey {
         let app = &self.template.app_nodes[ai];
-        let mut key = Vec::with_capacity(app.args.len() + 1);
-        key.push(app.op);
-        for &arg in &app.args {
-            key.push(self.find(arg) as u32);
+        if app.args.len() < 4 {
+            let mut key = [u32::MAX; 4];
+            key[0] = app.op;
+            for (k, &arg) in app.args.iter().enumerate() {
+                key[k + 1] = self.find(arg) as u32;
+            }
+            SigKey::Short(key)
+        } else {
+            let roots = app.args.iter().map(|&arg| self.find(arg) as u32);
+            SigKey::Long(std::iter::once(app.op).chain(roots).collect())
         }
-        key
     }
 
     fn pf_root(&self, mut x: usize) -> usize {
-        while let Some((p, _)) = &self.pf_parent[x] {
-            x = *p;
+        while let Some((p, _)) = self.pf_parent[x] {
+            x = p;
         }
         x
     }
@@ -188,6 +232,9 @@ impl EufState {
     }
 
     fn undo_to(&mut self, mark: usize) {
+        while self.violated.last().is_some_and(|&(_, at)| at >= mark) {
+            self.violated.pop();
+        }
         while self.undo.len() > mark {
             match self.undo.pop().expect("undo above mark") {
                 UndoOp::Merge {
@@ -196,8 +243,10 @@ impl EufState {
                     loser_root,
                     winner_root,
                     winner_use_len,
+                    winner_diseq_len,
                 } => {
                     self.use_lists[winner_root].truncate(winner_use_len);
+                    self.diseq_lists[winner_root].truncate(winner_diseq_len);
                     self.size[winner_root] -= self.size[loser_root];
                     self.parent[loser_root] = loser_root;
                     self.pf_parent[pf_child] = None;
@@ -206,8 +255,12 @@ impl EufState {
                 UndoOp::SigInsert(key) => {
                     self.sig_table.remove(&key);
                 }
-                UndoOp::Diseq => {
+                UndoOp::Diseq { ra, rb } => {
                     self.diseqs.pop();
+                    self.diseq_lists[ra].pop();
+                    if rb != ra {
+                        self.diseq_lists[rb].pop();
+                    }
                 }
                 UndoOp::EqTag => {
                     self.eq_tags.pop();
@@ -225,14 +278,23 @@ impl EufState {
 
     fn assert_neq(&mut self, a: TermId, b: TermId, tag: usize) {
         let (na, nb) = (self.node(a), self.node(b));
+        let (ra, rb) = (self.find(na), self.find(nb));
+        let d = self.diseqs.len() as u32;
         self.diseqs.push((na, nb, tag));
-        self.undo.push(UndoOp::Diseq);
+        self.diseq_lists[ra].push(d);
+        if rb != ra {
+            self.diseq_lists[rb].push(d);
+        } else {
+            self.violated.push((d, self.undo.len()));
+        }
+        self.undo.push(UndoOp::Diseq { ra, rb });
     }
 
     /// Merges the classes of nodes `a` and `b` and eagerly processes the
     /// congruence cascade via the use-lists.
     fn merge_classes(&mut self, a: usize, b: usize, reason: Reason) {
-        let mut pending: Vec<(usize, usize, Reason)> = vec![(a, b, reason)];
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.push((a, b, reason));
         while let Some((x, y, reason)) = pending.pop() {
             let (rx, ry) = (self.find(x), self.find(y));
             if rx == ry {
@@ -246,12 +308,29 @@ impl EufState {
             } else {
                 (ry, rx, y, x)
             };
+            // Disequalities between the two classes become violated. Each
+            // is listed under both classes, so the shorter list finds all.
+            let merge_at = self.undo.len();
+            let scan = if self.diseq_lists[loser].len() <= self.diseq_lists[winner].len() {
+                loser
+            } else {
+                winner
+            };
+            for k in 0..self.diseq_lists[scan].len() {
+                let d = self.diseq_lists[scan][k];
+                let (da, db, _) = self.diseqs[d as usize];
+                let (ra, rb) = (self.find(da), self.find(db));
+                if (ra == winner && rb == loser) || (ra == loser && rb == winner) {
+                    self.violated.push((d, merge_at));
+                }
+            }
             self.undo.push(UndoOp::Merge {
                 pf_child,
                 old_pf_root: self.pf_root(pf_child),
                 loser_root: loser,
                 winner_root: winner,
                 winner_use_len: self.use_lists[winner].len(),
+                winner_diseq_len: self.diseq_lists[winner].len(),
             });
             self.reroot(pf_child);
             self.pf_parent[pf_child] = Some((pf_other, reason));
@@ -259,7 +338,7 @@ impl EufState {
             self.size[winner] += self.size[loser];
             // Re-hash every application with an argument in the absorbed
             // class: a signature-table hit is a true congruence (exact keys),
-            // a miss records the new signature. The loser's list is kept
+            // a miss records the new signature. The loser's lists are kept
             // intact (undo restores by truncating the winner's).
             let lost = std::mem::take(&mut self.use_lists[loser]);
             for &ai_u in &lost {
@@ -279,46 +358,41 @@ impl EufState {
                     }
                 }
             }
-            self.use_lists[winner].extend(lost.iter().copied());
+            self.use_lists[winner].extend_from_slice(&lost);
             self.use_lists[loser] = lost;
+            let lost = std::mem::take(&mut self.diseq_lists[loser]);
+            self.diseq_lists[winner].extend_from_slice(&lost);
+            self.diseq_lists[loser] = lost;
         }
+        self.pending = pending;
     }
 
+    /// Makes `a` the root of its proof tree by reversing the path from `a`
+    /// to the old root in place.
     fn reroot(&mut self, a: usize) {
-        let mut path = vec![a];
+        let mut prev: Option<(usize, Reason)> = None;
         let mut cur = a;
-        while let Some((p, _)) = &self.pf_parent[cur] {
-            cur = *p;
-            path.push(cur);
-        }
-        for i in (1..path.len()).rev() {
-            let child = path[i - 1];
-            let parent = path[i];
-            let (_, reason) = self.pf_parent[child].clone().expect("edge on path");
-            self.pf_parent[parent] = Some((child, reason));
-        }
-        self.pf_parent[a] = None;
-    }
-
-    /// Scans the disequalities (in assertion order, like the batch solver)
-    /// and returns the conflict tags of the first violated one.
-    fn check_diseqs(&mut self, tm: &TermManager) -> Option<Vec<usize>> {
-        for k in 0..self.diseqs.len() {
-            let (a, b, tag) = self.diseqs[k];
-            if self.find(a) == self.find(b) {
-                self.explain_incomplete = false;
-                let mut tags = self.explain(tm, a, b);
-                if self.explain_incomplete {
-                    // Sound fallback: blame every asserted equation.
-                    tags = self.eq_tags.clone();
+        loop {
+            let next = std::mem::replace(&mut self.pf_parent[cur], prev);
+            match next {
+                Some((p, reason)) => {
+                    prev = Some((cur, reason));
+                    cur = p;
                 }
-                tags.push(tag);
-                tags.sort_unstable();
-                tags.dedup();
-                return Some(tags);
+                None => break,
             }
         }
-        None
+    }
+
+    /// The conflict tags of the first violated disequality, if any.
+    fn conflict(&mut self) -> Option<Vec<usize>> {
+        let &(d, _) = self.violated.first()?;
+        let (a, b, tag) = self.diseqs[d as usize];
+        let mut tags = self.explain(a, b);
+        tags.push(tag);
+        tags.sort_unstable();
+        tags.dedup();
+        Some(tags)
     }
 
     /// A canonical class index for `t` (comparable only within one state).
@@ -329,31 +403,25 @@ impl EufState {
 
     /// Explains why two equal terms are equal: the tags of the asserted
     /// equations used (all of them if the explanation was incomplete).
-    fn explain_terms(&mut self, tm: &TermManager, a: TermId, b: TermId) -> Vec<usize> {
-        self.explain_incomplete = false;
+    fn explain_terms(&mut self, a: TermId, b: TermId) -> Vec<usize> {
         let (na, nb) = (self.node(a), self.node(b));
-        let tags = self.explain(tm, na, nb);
-        if self.explain_incomplete {
-            self.eq_tags.clone()
-        } else {
-            tags
-        }
+        self.explain(na, nb)
     }
 
-    fn explain(&mut self, tm: &TermManager, a: usize, b: usize) -> Vec<usize> {
+    /// The tags of the asserted equations that make nodes `a` and `b` equal
+    /// (all of them if the explanation was incomplete).
+    fn explain(&mut self, a: usize, b: usize) -> Vec<usize> {
+        self.explain_incomplete = false;
         let mut tags = Vec::new();
-        self.explain_rec(tm, a, b, &mut tags, 0);
+        self.explain_rec(a, b, &mut tags, 0);
+        if self.explain_incomplete {
+            // Sound fallback: blame every asserted equation.
+            return self.eq_tags.clone();
+        }
         tags
     }
 
-    fn explain_rec(
-        &mut self,
-        tm: &TermManager,
-        a: usize,
-        b: usize,
-        tags: &mut Vec<usize>,
-        depth: usize,
-    ) {
+    fn explain_rec(&mut self, a: usize, b: usize, tags: &mut Vec<usize>, depth: usize) {
         if a == b {
             return;
         }
@@ -361,46 +429,51 @@ impl EufState {
             self.explain_incomplete = true;
             return;
         }
-        let mut ancestors_a = HashMap::new();
+        // Stamp `a`'s ancestors; the first stamped ancestor of `b` is the
+        // lowest common one.
+        if self.stamp_gen == u32::MAX {
+            self.stamp.fill(0);
+            self.stamp_gen = 0;
+        }
+        self.stamp_gen += 1;
+        let gen = self.stamp_gen;
         let mut cur = a;
-        let mut idx = 0usize;
-        ancestors_a.insert(cur, idx);
-        while let Some((p, _)) = &self.pf_parent[cur] {
-            cur = *p;
-            idx += 1;
-            ancestors_a.insert(cur, idx);
+        self.stamp[cur] = gen;
+        while let Some((p, _)) = self.pf_parent[cur] {
+            cur = p;
+            self.stamp[cur] = gen;
         }
         let mut lca = b;
-        while !ancestors_a.contains_key(&lca) {
-            match &self.pf_parent[lca] {
-                Some((p, _)) => lca = *p,
+        while self.stamp[lca] != gen {
+            match self.pf_parent[lca] {
+                Some((p, _)) => lca = p,
                 None => {
                     self.explain_incomplete = true;
                     return;
                 }
             }
         }
-        let walk =
-            |mut x: usize, stop: usize, this: &mut Self, tags: &mut Vec<usize>, depth: usize| {
-                while x != stop {
-                    let (p, reason) = this.pf_parent[x].clone().expect("path to lca");
-                    match reason {
-                        Reason::Asserted(t) => tags.push(t),
-                        Reason::Congruence(u, v) => {
-                            let (tu, tv) = (this.template.terms[u], this.template.terms[v]);
-                            let args_u = tm.term(tu).args.clone();
-                            let args_v = tm.term(tv).args.clone();
-                            for (x_arg, y_arg) in args_u.iter().zip(args_v.iter()) {
-                                let (nu, nv) = (this.node(*x_arg), this.node(*y_arg));
-                                this.explain_rec(tm, nu, nv, tags, depth + 1);
-                            }
-                        }
+        self.explain_path(a, lca, tags, depth);
+        self.explain_path(b, lca, tags, depth);
+    }
+
+    /// Collects the reasons of the proof-forest edges from `x` up to `stop`.
+    fn explain_path(&mut self, mut x: usize, stop: usize, tags: &mut Vec<usize>, depth: usize) {
+        while x != stop {
+            let (p, reason) = self.pf_parent[x].expect("path to lca");
+            match reason {
+                Reason::Asserted(t) => tags.push(t),
+                Reason::Congruence(u, v) => {
+                    let (au, av) = (self.app_of[u] as usize, self.app_of[v] as usize);
+                    for k in 0..self.template.app_nodes[au].args.len() {
+                        let nu = self.template.app_nodes[au].args[k];
+                        let nv = self.template.app_nodes[av].args[k];
+                        self.explain_rec(nu, nv, tags, depth + 1);
                     }
-                    x = p;
                 }
-            };
-        walk(a, lca, self, tags, depth);
-        walk(b, lca, self, tags, depth);
+            }
+            x = p;
+        }
     }
 }
 
@@ -408,49 +481,79 @@ impl EufState {
 /// retract it.
 #[derive(Clone, Debug)]
 struct TrailEntry {
+    /// The SAT literal and its position on the SAT trail.
+    lit: Lit,
+    sat_pos: usize,
     atom: TermId,
-    positive: bool,
     /// EUF undo-trail length before this literal's EUF assertions.
     euf_mark: usize,
     /// Simplex bound-trail length before this literal's bound assertions, or
     /// `usize::MAX` while its simplex part is not loaded. Loaded entries
     /// always form a prefix of the trail (the simplex watermark).
     simplex_mark: usize,
-    /// Numeric leaf terms of the literal's simplex constraint, `None` if it
-    /// has none. `Some(empty)` (`0 < 0`, the negation of `x <= x`) still goes
-    /// to the simplex, which refutes it by its constant. EUF-derived equalities
-    /// are propagated between these terms only, as in the batch path.
-    arith_terms: Option<Vec<TermId>>,
+    /// Whether the literal has a simplex constraint. One whose terms cancel
+    /// (`0 < 0`, the negation of `x <= x`) still goes to the simplex, which
+    /// refutes it by its constant.
+    arith: bool,
 }
 
-/// The literals one round retracted from the previous trail and asserted.
+/// The literals one check retracted from the session trail and asserted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct RoundDelta {
     pub(crate) retracted: u64,
     pub(crate) asserted: u64,
 }
 
-/// Result of one [`TheorySession::check_round`], with conflicts already
-/// mapped back to `(atom, polarity)` literal pairs (trail indices are an
-/// internal detail of the session).
+/// Result of one [`TheorySession::check`], with conflicts already mapped
+/// back to the asserted SAT literals (trail indices are an internal detail
+/// of the session).
 #[derive(Clone, Debug)]
 pub(crate) enum SessionCheck {
     /// The asserted literal set is consistent.
     Consistent,
     /// Inconsistent; a jointly inconsistent subset of the asserted literals.
-    Conflict(Vec<(TermId, bool)>),
+    Conflict(Vec<Lit>),
     /// Inconclusive (integer branching limit).
     Unknown,
 }
 
+/// The simplex constraint of an asserted literal: `form rel 0`, negated for a
+/// negative inequality (the negation of `a ≤ b`, `a − b ≤ 0`, is
+/// `−(a − b) < 0`), with whether both sides are integers. `None` if the
+/// literal has no arithmetic part: negative numeric equalities are covered
+/// by the trichotomy lemmas added during lowering.
+fn arith_part(
+    checker: &TheoryChecker,
+    atom: TermId,
+    positive: bool,
+) -> Option<(&LinForm, bool, Rel, bool)> {
+    match checker.kinds.get(&atom) {
+        Some(AtomKind::Eq { lin: Some(f), .. }) if positive => Some((f, false, Rel::Eq, false)),
+        Some(AtomKind::Ineq {
+            lin,
+            strict,
+            both_int,
+        }) => {
+            let rel = if *strict == positive {
+                Rel::Lt
+            } else {
+                Rel::Le
+            };
+            Some((lin, !positive, rel, *both_int))
+        }
+        _ => None,
+    }
+}
+
 /// Persistent theory state for one [`crate::IncrementalSolver`]: EUF and
-/// simplex survive across DPLL(T) rounds, and each round asserts/retracts
-/// only the literals that changed since the previous propositional model.
+/// simplex survive across theory checks and solver checks, and each check
+/// asserts/retracts only the literals the SAT trail changed since the
+/// previous one.
 #[derive(Clone, Debug)]
 pub(crate) struct TheorySession {
     euf: Option<EufState>,
     simplex: Simplex,
-    /// Simplex variable per numeric leaf term, persistent across rounds.
+    /// Simplex variable per numeric leaf term, persistent across checks.
     var_of_term: FxHashMap<TermId, usize>,
     trail: Vec<TrailEntry>,
     /// Number of atoms the checker knew when the session state was built;
@@ -461,7 +564,7 @@ pub(crate) struct TheorySession {
 }
 
 impl TheorySession {
-    /// An empty session; state is materialized lazily on the first round.
+    /// An empty session; state is materialized lazily on the first check.
     pub(crate) fn new(pivot: PivotRule) -> TheorySession {
         TheorySession {
             euf: None,
@@ -478,6 +581,14 @@ impl TheorySession {
         self.trail.len()
     }
 
+    /// The asserted literals, as `(atom, polarity)` pairs in trail order.
+    pub(crate) fn literals(&self) -> Vec<(TermId, bool)> {
+        self.trail
+            .iter()
+            .map(|e| (e.atom, e.lit.is_positive()))
+            .collect()
+    }
+
     /// Drops all per-session state and rebuilds from the checker's current
     /// template. The cumulative pivot counter is carried over so telemetry
     /// deltas stay monotonic.
@@ -492,32 +603,115 @@ impl TheorySession {
         self.known_atoms = checker.kinds.len();
     }
 
-    /// Checks the conjunction of `literals` for consistency, reusing the
-    /// state left by the previous round. `literals` must be in a stable
-    /// assignment order (the SAT trail order): the longest common prefix
-    /// with the previous round's literals is kept asserted, the rest of the
-    /// old trail is retracted and the rest of `literals` asserted. Whatever
-    /// the verdict, every literal stays on the trail afterwards.
-    ///
-    /// Returns the verdict, the round's telemetry, and how many literals
-    /// were retracted and asserted.
-    pub(crate) fn check_round(
+    /// Brings the session trail in line with the SAT trail `sat_trail`,
+    /// whose literals of SAT variable `v` are asserted when `live[v]` names
+    /// their atom. Entries below `stable` are kept as they are; past it the
+    /// session keeps the longest prefix that still matches the SAT trail,
+    /// retracts the rest and asserts the EUF part of each new literal.
+    fn sync(
         &mut self,
-        tm: &TermManager,
         checker: &TheoryChecker,
-        literals: &[(TermId, bool)],
-    ) -> (SessionCheck, TheoryTelemetry, RoundDelta) {
-        let mut tel = TheoryTelemetry::default();
-
-        // ------------------------------------------------------------ EUF phase
-        let euf_start = std::time::Instant::now();
-        let euf_span = ids_obs::span("euf");
-
+        sat_trail: &[Lit],
+        stable: usize,
+        live: &[Option<TermId>],
+    ) -> RoundDelta {
+        let mut stable = stable;
         if self.euf.is_none() || checker.kinds.len() != self.known_atoms {
             self.rebuild(checker);
+            stable = 0;
         }
-        let pivots_before = self.simplex.pivots;
+        let TheorySession {
+            euf,
+            simplex,
+            trail,
+            ..
+        } = self;
+        let euf = euf.as_mut().expect("session rebuilt above");
+        let atom_of = |l: Lit| live.get(l.var() as usize).copied().flatten();
 
+        let mut keep = trail.partition_point(|e| e.sat_pos < stable);
+        let mut pos = stable.min(sat_trail.len());
+        while pos < sat_trail.len() {
+            let l = sat_trail[pos];
+            let entry = trail.get(keep).filter(|e| e.sat_pos == pos);
+            match (atom_of(l), entry) {
+                (None, None) => {}
+                (Some(atom), Some(e)) if e.lit == l && e.atom == atom => keep += 1,
+                _ => break,
+            }
+            pos += 1;
+        }
+        let retracted = (trail.len() - keep) as u64;
+        if keep < trail.len() {
+            euf.undo_to(trail[keep].euf_mark);
+            // Loaded entries form a prefix: if this one is not loaded, no
+            // later one is either.
+            if trail[keep].simplex_mark != usize::MAX {
+                simplex.undo_to(trail[keep].simplex_mark);
+            }
+            trail.truncate(keep);
+        }
+
+        // Simplex parts are loaded by complete checks only, after the
+        // disequality check, because EUF equalities over numeric terms must
+        // be propagated into the simplex.
+        for (sat_pos, &lit) in sat_trail.iter().enumerate().skip(pos) {
+            let Some(atom) = atom_of(lit) else { continue };
+            let positive = lit.is_positive();
+            let tag = trail.len();
+            let euf_mark = euf.mark();
+            let arith = match checker.kinds.get(&atom) {
+                Some(AtomKind::Eq { a, b, lin }) if positive => {
+                    euf.assert_eq(*a, *b, tag);
+                    lin.is_some()
+                }
+                Some(AtomKind::Eq { a, b, .. }) => {
+                    euf.assert_neq(*a, *b, tag);
+                    false
+                }
+                Some(AtomKind::Ineq { .. }) => true,
+                Some(AtomKind::Pred) | None => {
+                    let target = if positive { checker.tru } else { checker.fls };
+                    euf.assert_eq(atom, target, tag);
+                    false
+                }
+            };
+            trail.push(TrailEntry {
+                lit,
+                sat_pos,
+                atom,
+                euf_mark,
+                simplex_mark: usize::MAX,
+                arith,
+            });
+        }
+        RoundDelta {
+            retracted,
+            asserted: (trail.len() - keep) as u64,
+        }
+    }
+
+    /// Checks the live literals of the SAT trail `sat_trail` for consistency
+    /// (see [`TheorySession::sync`] for `stable` and `live`): EUF alone
+    /// unless `complete`, EUF then simplex on a complete assignment. Whatever
+    /// the verdict, every literal stays asserted afterwards.
+    ///
+    /// Returns the verdict, the check's simplex telemetry (EUF time is the
+    /// caller's to measure: a partial check is all EUF), and how many
+    /// literals were retracted and asserted.
+    pub(crate) fn check(
+        &mut self,
+        checker: &TheoryChecker,
+        sat_trail: &[Lit],
+        stable: usize,
+        live: &[Option<TermId>],
+        complete: bool,
+    ) -> (SessionCheck, TheoryTelemetry, RoundDelta) {
+        let mut tel = TheoryTelemetry::default();
+        // Only complete checks open spans: partial checks are too frequent
+        // for a trace.
+        let euf_span = complete.then(|| ids_obs::span("euf"));
+        let delta = self.sync(checker, sat_trail, stable, live);
         let TheorySession {
             euf,
             simplex,
@@ -525,106 +719,35 @@ impl TheorySession {
             trail,
             ..
         } = self;
-        let euf = euf.as_mut().expect("session rebuilt above");
-
-        // Longest common prefix with the previous round's trail.
-        let mut common = 0;
-        while common < trail.len()
-            && common < literals.len()
-            && (trail[common].atom, trail[common].positive) == literals[common]
-        {
-            common += 1;
-        }
-        let delta = RoundDelta {
-            retracted: (trail.len() - common) as u64,
-            asserted: (literals.len() - common) as u64,
-        };
-        if common < trail.len() {
-            euf.undo_to(trail[common].euf_mark);
-            // Loaded entries form a prefix: if this one is not loaded, no
-            // later one is either.
-            if trail[common].simplex_mark != usize::MAX {
-                simplex.undo_to(trail[common].simplex_mark);
-            }
-            trail.truncate(common);
-        }
-
-        // Assert the EUF part of each new literal. Simplex parts are loaded
-        // after the disequality check, because EUF equalities over numeric
-        // terms must be propagated into the simplex.
-        let leaves =
-            |form: &LinForm| -> Vec<TermId> { form.terms.iter().map(|&(t, _)| t).collect() };
-        for (i, &(atom, positive)) in literals.iter().enumerate().skip(common) {
-            let euf_mark = euf.mark();
-            let arith_terms = match checker.kinds.get(&atom) {
-                Some(AtomKind::Eq { a, b, lin }) if positive => {
-                    euf.assert_eq(*a, *b, i);
-                    lin.as_ref().map(leaves)
-                }
-                // Negative numeric equalities are covered by the trichotomy
-                // lemmas added during lowering.
-                Some(AtomKind::Eq { a, b, .. }) => {
-                    euf.assert_neq(*a, *b, i);
-                    None
-                }
-                Some(AtomKind::Ineq { lin, .. }) => Some(leaves(lin)),
-                Some(AtomKind::Pred) | None => {
-                    let target = if positive { checker.tru } else { checker.fls };
-                    euf.assert_eq(atom, target, i);
-                    None
-                }
-            };
-            trail.push(TrailEntry {
-                atom,
-                positive,
-                euf_mark,
-                simplex_mark: usize::MAX,
-                arith_terms,
-            });
-        }
-
-        if let Some(tags) = euf.check_diseqs(tm) {
-            // The trail stays: the next round pops only what changed.
-            tel.euf_time = euf_start.elapsed();
-            let conflict = conflict_lits(trail, &tags, &[]);
-            return (SessionCheck::Conflict(conflict), tel, delta);
+        let euf = euf.as_mut().expect("session synced above");
+        if let Some(tags) = euf.conflict() {
+            // The trail stays: the next check pops only what changed.
+            return (
+                SessionCheck::Conflict(conflict_lits(trail, &tags, &[])),
+                tel,
+                delta,
+            );
         }
         drop(euf_span);
-        tel.euf_time = euf_start.elapsed();
-
-        // ------------------------------------------------------- simplex phase
-        if trail.iter().all(|e| e.arith_terms.is_none()) {
+        if !complete || !trail.iter().any(|e| e.arith) {
             return (SessionCheck::Consistent, tel, delta);
         }
 
+        // ------------------------------------------------------- simplex phase
         let simplex_start = std::time::Instant::now();
         let mut simplex_span = ids_obs::span("simplex");
+        let pivots_before = simplex.pivots;
 
-        // Load the simplex parts from the watermark on: a previous round may
+        // Load the simplex parts from the watermark on: a previous check may
         // have stopped at an EUF conflict or a load conflict.
         let loaded = trail.partition_point(|e| e.simplex_mark != usize::MAX);
         let mut load_error: Option<Vec<usize>> = None;
         for (i, entry) in trail.iter_mut().enumerate().skip(loaded) {
             entry.simplex_mark = simplex.mark();
-            // `form rel 0`, negated for a negative inequality: the negation
-            // of `a ≤ b` (`a − b ≤ 0`) is `−(a − b) < 0`.
-            let (form, negate, rel, both_int) = match checker.kinds.get(&entry.atom) {
-                Some(AtomKind::Eq { lin: Some(f), .. }) if entry.positive => {
-                    (f, false, Rel::Eq, false)
-                }
-                Some(AtomKind::Ineq {
-                    lin,
-                    strict,
-                    both_int,
-                }) => {
-                    let rel = if *strict == entry.positive {
-                        Rel::Lt
-                    } else {
-                        Rel::Le
-                    };
-                    (lin, !entry.positive, rel, *both_int)
-                }
-                _ => continue,
+            let Some((form, negate, rel, both_int)) =
+                arith_part(checker, entry.atom, entry.lit.is_positive())
+            else {
+                continue;
             };
             let sign = |q: Rat| if negate { -q } else { q };
             let mut expr = LinExpr::zero();
@@ -653,25 +776,31 @@ impl TheorySession {
             }
         }
         if let Some(tags) = load_error {
-            let round_pivots = simplex.pivots - pivots_before;
-            simplex_span.note(|| format!("pivots={}", round_pivots));
-            tel.pivots = round_pivots;
+            let pivots = simplex.pivots - pivots_before;
+            simplex_span.note(|| format!("pivots={}", pivots));
+            tel.pivots = pivots;
             tel.simplex_time = simplex_start.elapsed();
-            let conflict = conflict_lits(trail, &tags, &[]);
-            return (SessionCheck::Conflict(conflict), tel, delta);
+            return (
+                SessionCheck::Conflict(conflict_lits(trail, &tags, &[])),
+                tel,
+                delta,
+            );
         }
 
         // Propagate EUF-derived equalities between the numeric leaf terms of
         // the currently asserted literals. These are justified by the current
-        // congruence classes, so they never outlive the round: they are
+        // congruence classes, so they never outlive the check: they are
         // always popped below, whatever the verdict.
         let derived_mark = simplex.mark();
         let mut derived_explanations: Vec<Vec<usize>> = Vec::new();
         let mut seen: FxHashMap<TermId, ()> = FxHashMap::default();
         let mut terms_in_order: Vec<TermId> = Vec::new();
-        for &t in trail.iter().flat_map(|e| e.arith_terms.iter().flatten()) {
-            if seen.insert(t, ()).is_none() {
-                terms_in_order.push(t);
+        for e in trail.iter().filter(|e| e.arith) {
+            let (form, ..) = arith_part(checker, e.atom, e.lit.is_positive()).expect("arith");
+            for &(t, _) in &form.terms {
+                if seen.insert(t, ()).is_none() {
+                    terms_in_order.push(t);
+                }
             }
         }
         let mut by_class: FxHashMap<usize, Vec<TermId>> = FxHashMap::default();
@@ -687,7 +816,7 @@ impl TheorySession {
             }
             for w in group.windows(2) {
                 let (a, b) = (w[0], w[1]);
-                let explanation = euf.explain_terms(tm, a, b);
+                let explanation = euf.explain_terms(a, b);
                 let derived_tag = DERIVED_BASE + derived_explanations.len();
                 derived_explanations.push(explanation);
                 let mut expr = LinExpr::variable(var_of_term[&a]);
@@ -713,21 +842,17 @@ impl TheorySession {
         // Retract the derived equalities; the trail literals themselves are
         // fully asserted and stay.
         simplex.undo_to(derived_mark);
-        let round_pivots = simplex.pivots - pivots_before;
-        simplex_span.note(|| format!("pivots={}", round_pivots));
-        tel.pivots = round_pivots;
+        let pivots = simplex.pivots - pivots_before;
+        simplex_span.note(|| format!("pivots={}", pivots));
+        tel.pivots = pivots;
         tel.simplex_time = simplex_start.elapsed();
         (outcome, tel, delta)
     }
 }
 
 /// Maps conflict tags (trail indices, derived tags, the axiom sentinel) back
-/// to `(atom, polarity)` pairs of asserted literals.
-fn conflict_lits(
-    trail: &[TrailEntry],
-    tags: &[usize],
-    derived: &[Vec<usize>],
-) -> Vec<(TermId, bool)> {
+/// to the asserted SAT literals.
+fn conflict_lits(trail: &[TrailEntry], tags: &[usize], derived: &[Vec<usize>]) -> Vec<Lit> {
     let mut idxs: Vec<usize> = Vec::new();
     for &t in tags {
         if t == AXIOM_TAG {
@@ -745,16 +870,91 @@ fn conflict_lits(
     }
     idxs.sort_unstable();
     idxs.dedup();
-    idxs.into_iter()
-        .map(|t| (trail[t].atom, trail[t].positive))
-        .collect()
+    idxs.into_iter().map(|t| trail[t].lit).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::Sort;
+    use crate::sat::Var;
+    use crate::term::{Sort, TermManager};
     use crate::theory::TheoryCheck;
+
+    /// A session verdict with conflicts as `(atom, polarity)` pairs.
+    #[derive(Clone, Debug)]
+    enum Check {
+        Consistent,
+        Conflict(Vec<(TermId, bool)>),
+        Unknown,
+    }
+
+    /// Stands in for the SAT core: gives every atom a SAT variable, lays a
+    /// literal list out as a SAT trail with a Tseitin (dead) literal after
+    /// each atom literal, and maps conflicts back to literal pairs.
+    #[derive(Clone, Default)]
+    struct Sat {
+        atoms: Vec<TermId>,
+        live: Vec<Option<TermId>>,
+    }
+
+    impl Sat {
+        fn var(&mut self, atom: TermId) -> Var {
+            let i = match self.atoms.iter().position(|&a| a == atom) {
+                Some(i) => i,
+                None => {
+                    self.atoms.push(atom);
+                    self.live.extend([Some(atom), None]);
+                    self.atoms.len() - 1
+                }
+            };
+            2 * i as Var
+        }
+
+        fn trail(&mut self, literals: &[(TermId, bool)]) -> Vec<Lit> {
+            let mut trail = Vec::new();
+            for &(atom, positive) in literals {
+                let v = self.var(atom);
+                trail.push(Lit::new(v, positive));
+                trail.push(Lit::new(v + 1, true));
+            }
+            trail
+        }
+
+        /// One check of `literals`, trusting the session's entries for the
+        /// first `stable` SAT-trail positions.
+        fn check(
+            &mut self,
+            session: &mut TheorySession,
+            checker: &TheoryChecker,
+            literals: &[(TermId, bool)],
+            stable: usize,
+            complete: bool,
+        ) -> (Check, TheoryTelemetry, RoundDelta) {
+            let trail = self.trail(literals);
+            let (res, tel, delta) = session.check(checker, &trail, stable, &self.live, complete);
+            let res = match res {
+                SessionCheck::Consistent => Check::Consistent,
+                SessionCheck::Unknown => Check::Unknown,
+                SessionCheck::Conflict(lits) => Check::Conflict(
+                    lits.iter()
+                        .map(|l| (self.live[l.var() as usize].expect("live"), l.is_positive()))
+                        .collect(),
+                ),
+            };
+            (res, tel, delta)
+        }
+
+        /// A complete check from scratch: the session finds what it can
+        /// keep by matching its trail against the SAT trail.
+        fn round(
+            &mut self,
+            session: &mut TheorySession,
+            checker: &TheoryChecker,
+            literals: &[(TermId, bool)],
+        ) -> (Check, TheoryTelemetry, RoundDelta) {
+            self.check(session, checker, literals, 0, true)
+        }
+    }
 
     /// Deterministic xorshift generator for the differential fuzz.
     struct Rng(u64);
@@ -778,11 +978,11 @@ mod tests {
         }
     }
 
-    fn verdict_name(c: &SessionCheck) -> &'static str {
+    fn verdict_name(c: &Check) -> &'static str {
         match c {
-            SessionCheck::Consistent => "consistent",
-            SessionCheck::Conflict(_) => "conflict",
-            SessionCheck::Unknown => "unknown",
+            Check::Consistent => "consistent",
+            Check::Conflict(_) => "conflict",
+            Check::Unknown => "unknown",
         }
     }
 
@@ -921,27 +1121,28 @@ mod tests {
         let checker = TheoryChecker::new(&mut tm, &atoms);
         let mut rng = Rng(0x5eed_cafe_f00d_0001);
         let mut session = TheorySession::new(PivotRule::Bland);
+        let mut sat = Sat::default();
         let mut literals: Vec<(TermId, bool)> = Vec::new();
         for round in 0..400 {
             evolve(&mut rng, &atoms, &mut literals);
-            let (got, _, _) = session.check_round(&tm, &checker, &literals);
-            let (want, _) = checker.check_with(&tm, &literals, PivotRule::Bland);
+            let (got, _, _) = sat.round(&mut session, &checker, &literals);
+            let want = checker.check_with(&tm, &literals, PivotRule::Bland);
             assert_eq!(
                 verdict_name(&got),
                 batch_verdict_name(&want),
                 "round {round}: session vs batch on {literals:?}"
             );
             let mut fresh = TheorySession::new(PivotRule::Bland);
-            let (replay, _, _) = fresh.check_round(&tm, &checker, &literals);
+            let (replay, _, _) = sat.round(&mut fresh, &checker, &literals);
             assert_eq!(
                 verdict_name(&got),
                 verdict_name(&replay),
                 "round {round}: session vs fresh replay on {literals:?}"
             );
-            if let SessionCheck::Conflict(c) = &got {
+            if let Check::Conflict(c) = &got {
                 assert_conflict_valid(&tm, &checker, c, &format!("round {round} session"));
             }
-            if let SessionCheck::Conflict(c) = &replay {
+            if let Check::Conflict(c) = &replay {
                 assert_conflict_valid(&tm, &checker, c, &format!("round {round} replay"));
             }
         }
@@ -957,23 +1158,24 @@ mod tests {
         let checker = TheoryChecker::new(&mut tm, &atoms);
         let mut rng = Rng(0xdead_beef_0000_0042);
         let mut session = TheorySession::new(PivotRule::Bland);
+        let mut sat = Sat::default();
         let mut literals: Vec<(TermId, bool)> = Vec::new();
         let mut conflicts_seen = 0;
         for round in 0..400 {
             evolve(&mut rng, &atoms, &mut literals);
-            let (got, _, _) = session.check_round(&tm, &checker, &literals);
+            let (got, _, _) = sat.round(&mut session, &checker, &literals);
             let mut fresh = TheorySession::new(PivotRule::Bland);
-            let (replay, _, _) = fresh.check_round(&tm, &checker, &literals);
+            let (replay, _, _) = sat.round(&mut fresh, &checker, &literals);
             match (&got, &replay) {
-                (SessionCheck::Consistent, SessionCheck::Consistent) => {}
-                (SessionCheck::Conflict(a), SessionCheck::Conflict(b)) => {
+                (Check::Consistent, Check::Consistent) => {}
+                (Check::Conflict(a), Check::Conflict(b)) => {
                     assert_eq!(a, b, "round {round}: explanations diverged on {literals:?}");
                     assert_conflict_valid(&tm, &checker, a, &format!("round {round}"));
                     conflicts_seen += 1;
                 }
                 other => panic!("round {round}: verdicts diverged: {other:?}"),
             }
-            let (want, _) = checker.check_with(&tm, &literals, PivotRule::Bland);
+            let want = checker.check_with(&tm, &literals, PivotRule::Bland);
             assert_eq!(
                 verdict_name(&got),
                 batch_verdict_name(&want),
@@ -986,6 +1188,122 @@ mod tests {
         );
     }
 
+    /// Differential fuzz of the online path: EUF-only (partial) checks
+    /// interleaved with complete ones, each trusting an arbitrary prefix of
+    /// the SAT trail at or below the one that really is unchanged (a SAT
+    /// backjump may undo more than the literal lists differ by). Every
+    /// verdict must match the batch checker — `check_with` for the EUF-only
+    /// universe, `check_euf` for partial checks of the mixed one — every
+    /// conflict must be valid, and the EUF state must equal a fresh replay.
+    #[test]
+    fn fuzz_partial_checks_at_arbitrary_undo_points() {
+        for (seed, (tm, atoms)) in [(11u64, euf_universe()), (12, mixed_universe())] {
+            let mut tm = tm;
+            let checker = TheoryChecker::new(&mut tm, &atoms);
+            let euf_only = seed == 11;
+            let mut rng = Rng(0x0b5e_55ed_0000_0000 + seed);
+            let mut session = TheorySession::new(PivotRule::Bland);
+            let mut sat = Sat::default();
+            let mut literals: Vec<(TermId, bool)> = Vec::new();
+            let (mut conflicts, mut partial) = (0, 0);
+            for round in 0..600 {
+                let before = literals.clone();
+                evolve(&mut rng, &atoms, &mut literals);
+                let common = before
+                    .iter()
+                    .zip(&literals)
+                    .take_while(|(a, b)| a == b)
+                    .count();
+                // Two SAT-trail positions per literal (atom + Tseitin).
+                let stable = rng.below(2 * common + 1);
+                let complete = rng.chance(25);
+                partial += !complete as usize;
+                let (got, _, _) = sat.check(&mut session, &checker, &literals, stable, complete);
+                let want = if complete || euf_only {
+                    checker.check_with(&tm, &literals, PivotRule::Bland)
+                } else {
+                    checker.check_euf(&tm, &literals)
+                };
+                let context =
+                    format!("seed {seed} round {round} (stable {stable}, complete {complete})");
+                assert_eq!(
+                    verdict_name(&got),
+                    batch_verdict_name(&want),
+                    "{context}: session vs batch on {literals:?}"
+                );
+                if let Check::Conflict(c) = &got {
+                    assert_conflict_valid(&tm, &checker, c, &context);
+                    conflicts += 1;
+                }
+                let mut fresh = TheorySession::new(PivotRule::Bland);
+                sat.clone().check(&mut fresh, &checker, &literals, 0, false);
+                assert_same_euf(&session, &fresh, &context);
+            }
+            assert!(conflicts >= 20, "seed {seed}: only {conflicts} conflicts");
+            assert!(partial >= 300, "seed {seed}: only {partial} partial checks");
+        }
+    }
+
+    /// Directed: two classes that each carry many disequalities merge, and
+    /// exactly one disequality between them becomes violated. The merge
+    /// records it once, the conflict blames its whole equality chain, and
+    /// retracting the merge clears it.
+    #[test]
+    fn merge_of_classes_with_many_diseqs_finds_the_violated_one() {
+        let mut tm = TermManager::new();
+        let mut loc = |name: String| tm.var(&name, Sort::Loc);
+        let xs: Vec<TermId> = (0..6).map(|i| loc(format!("x{i}"))).collect();
+        let ys: Vec<TermId> = (0..6).map(|i| loc(format!("y{i}"))).collect();
+        let zs: Vec<TermId> = (0..8).map(|i| loc(format!("z{i}"))).collect();
+        let mut lits: Vec<(TermId, bool)> = Vec::new();
+        // Two chains: x0 = x1 = … = x5 and y0 = … = y5.
+        for chain in [&xs, &ys] {
+            for w in chain.windows(2) {
+                lits.push((tm.eq(w[0], w[1]), true));
+            }
+        }
+        // Many disequalities on each side that the merge does not violate.
+        for &z in &zs {
+            lits.push((tm.eq(xs[2], z), false));
+            lits.push((tm.eq(ys[3], z), false));
+        }
+        // The one that the merge violates, then the merge.
+        let violated = tm.eq(xs[4], ys[1]);
+        lits.push((violated, false));
+        let merge = tm.eq(xs[0], ys[5]);
+        lits.push((merge, true));
+        let atoms: Vec<TermId> = lits.iter().map(|&(a, _)| a).collect();
+        let checker = TheoryChecker::new(&mut tm, &atoms);
+        let mut session = TheorySession::new(PivotRule::Bland);
+        let mut sat = Sat::default();
+
+        let n = lits.len();
+        let (res, _, _) = sat.check(&mut session, &checker, &lits[..n - 1], 0, false);
+        assert!(matches!(res, Check::Consistent), "{res:?}");
+        let (res, _, _) = sat.check(&mut session, &checker, &lits, 2 * (n - 1), false);
+        let Check::Conflict(mut c) = res else {
+            panic!("expected a conflict, got {res:?}")
+        };
+        assert_eq!(session.euf.as_ref().expect("euf").violated.len(), 1);
+        c.sort();
+        // x4..x0, the merge, y5..y1 and the disequality: nothing from zs.
+        let mut want: Vec<(TermId, bool)> = lits[..4].to_vec();
+        want.extend_from_slice(&lits[6..10]);
+        want.push((violated, false));
+        want.push((merge, true));
+        want.sort();
+        assert_eq!(c, want);
+        assert_conflict_valid(&tm, &checker, &c, "directed");
+        // Retract the merge: consistent, and bit-exact with a fresh replay.
+        let (res, _, delta) = sat.check(&mut session, &checker, &lits[..n - 1], 2 * (n - 1), false);
+        assert!(matches!(res, Check::Consistent), "{res:?}");
+        assert_eq!((delta.retracted, delta.asserted), (1, 0));
+        assert!(session.euf.as_ref().expect("euf").violated.is_empty());
+        let mut fresh = TheorySession::new(PivotRule::Bland);
+        sat.check(&mut fresh, &checker, &lits[..n - 1], 0, false);
+        assert_same_euf(&session, &fresh, "after retracting the merge");
+    }
+
     /// Asserts that two sessions hold identical EUF structures.
     fn assert_same_euf(a: &TheorySession, b: &TheorySession, context: &str) {
         let (a, b) = (a.euf.as_ref().expect("euf"), b.euf.as_ref().expect("euf"));
@@ -994,6 +1312,9 @@ mod tests {
         assert_eq!(a.use_lists, b.use_lists, "{context}: use lists");
         assert_eq!(a.sig_table, b.sig_table, "{context}: signature table");
         assert_eq!(a.diseqs, b.diseqs, "{context}: disequalities");
+        assert_eq!(a.diseq_lists, b.diseq_lists, "{context}: disequality lists");
+        assert_eq!(a.violated, b.violated, "{context}: violated disequalities");
+        assert_eq!(a.pf_parent, b.pf_parent, "{context}: proof forest");
         assert_eq!(a.eq_tags, b.eq_tags, "{context}: equation tags");
         assert_eq!(a.undo.len(), b.undo.len(), "{context}: undo trail length");
     }
@@ -1020,18 +1341,19 @@ mod tests {
         let checker = TheoryChecker::new(&mut tm, &atoms);
         let mut rng = Rng(0x0123_4567_89ab_cdef);
         let mut session = TheorySession::new(PivotRule::Bland);
+        let mut sat = Sat::default();
         let mut literals: Vec<(TermId, bool)> = Vec::new();
         let (mut conflicts, mut simplex_compared) = (0, 0);
         for round in 0..400 {
             evolve(&mut rng, &atoms, &mut literals);
-            let (res, _, _) = session.check_round(&tm, &checker, &literals);
-            conflicts += matches!(res, SessionCheck::Conflict(_)) as usize;
+            let (res, _, _) = sat.round(&mut session, &checker, &literals);
+            conflicts += matches!(res, Check::Conflict(_)) as usize;
             let snapshot = session.clone();
             let mut extended = literals.clone();
             evolve(&mut rng, &atoms, &mut extended);
-            session.check_round(&tm, &checker, &extended);
+            sat.round(&mut session, &checker, &extended);
             // Retract by re-checking the original sequence.
-            session.check_round(&tm, &checker, &literals);
+            sat.round(&mut session, &checker, &literals);
             assert_same_euf(&session, &snapshot, &format!("round {round}"));
             assert_eq!(session.trail_len(), literals.len(), "round {round}");
             // After an EUF conflict the loaded simplex prefix depends on what
@@ -1058,16 +1380,17 @@ mod tests {
         let le_xx = tm.le(x, x);
         let checker = TheoryChecker::new(&mut tm, &[le_xx]);
         let mut session = TheorySession::new(PivotRule::Bland);
+        let mut sat = Sat::default();
         let lits = vec![(le_xx, false)];
-        let (res, _, _) = session.check_round(&tm, &checker, &lits);
+        let (res, _, _) = sat.round(&mut session, &checker, &lits);
         match res {
-            SessionCheck::Conflict(c) => assert_eq!(c, vec![(le_xx, false)]),
+            Check::Conflict(c) => assert_eq!(c, vec![(le_xx, false)]),
             other => panic!("expected conflict, got {other:?}"),
         }
         // And the positive polarity (0 <= 0) is consistent.
         let lits = vec![(le_xx, true)];
-        let (res, _, _) = session.check_round(&tm, &checker, &lits);
-        assert!(matches!(res, SessionCheck::Consistent), "{res:?}");
+        let (res, _, _) = sat.round(&mut session, &checker, &lits);
+        assert!(matches!(res, Check::Consistent), "{res:?}");
     }
 
     /// Directed: a congruence conflict discovered only after a retraction
@@ -1085,16 +1408,17 @@ mod tests {
         let eq_f = tm.eq(fx, fz);
         let checker = TheoryChecker::new(&mut tm, &[eq_xy, eq_yz, eq_f]);
         let mut session = TheorySession::new(PivotRule::Bland);
+        let mut sat = Sat::default();
         // Round 1: x=y alone, consistent.
         let r1 = vec![(eq_xy, true), (eq_f, false)];
-        let (res, _, _) = session.check_round(&tm, &checker, &r1);
-        assert!(matches!(res, SessionCheck::Consistent), "{res:?}");
+        let (res, _, _) = sat.round(&mut session, &checker, &r1);
+        assert!(matches!(res, Check::Consistent), "{res:?}");
         // Round 2: retract f(x)!=f(z), assert y=z and f(x)!=f(z) again after
         // it — the congruence f(x)=f(z) now follows and conflicts.
         let r2 = vec![(eq_xy, true), (eq_yz, true), (eq_f, false)];
-        let (res, _, delta) = session.check_round(&tm, &checker, &r2);
+        let (res, _, delta) = sat.round(&mut session, &checker, &r2);
         match res {
-            SessionCheck::Conflict(mut c) => {
+            Check::Conflict(mut c) => {
                 c.sort();
                 let mut want = vec![(eq_xy, true), (eq_yz, true), (eq_f, false)];
                 want.sort();
@@ -1106,11 +1430,11 @@ mod tests {
         assert_eq!((delta.retracted, delta.asserted), (1, 2));
         // Round 3: the conflict left its literals asserted, so dropping the
         // last one is a delta of one, and the state equals a fresh replay.
-        let (res, _, delta) = session.check_round(&tm, &checker, &r2[..2]);
-        assert!(matches!(res, SessionCheck::Consistent), "{res:?}");
+        let (res, _, delta) = sat.round(&mut session, &checker, &r2[..2]);
+        assert!(matches!(res, Check::Consistent), "{res:?}");
         assert_eq!((delta.retracted, delta.asserted), (1, 0));
         let mut fresh = TheorySession::new(PivotRule::Bland);
-        fresh.check_round(&tm, &checker, &r2[..2]);
+        sat.round(&mut fresh, &checker, &r2[..2]);
         assert_same_euf(&session, &fresh, "after the retraction");
     }
 
@@ -1130,25 +1454,26 @@ mod tests {
         let eq5 = tm.eq(x, five);
         let checker = TheoryChecker::new(&mut tm, &[le3, y_ge3, eq5]);
         let mut session = TheorySession::new(PivotRule::Bland);
+        let mut sat = Sat::default();
         let lits = [(le3, true), (y_ge3, true), (eq5, true)];
-        let (res, _, _) = session.check_round(&tm, &checker, &lits);
-        let SessionCheck::Conflict(mut c) = res else {
+        let (res, _, _) = sat.round(&mut session, &checker, &lits);
+        let Check::Conflict(mut c) = res else {
             panic!("expected conflict, got {res:?}")
         };
         c.sort();
         assert_eq!(c, vec![(le3, true), (eq5, true)]);
         assert_eq!(simplex_watermark(&session), 2, "only the equality unloaded");
         // Retract the equality alone: consistent, with a fresh replay's bounds.
-        let (res, _, delta) = session.check_round(&tm, &checker, &lits[..2]);
-        assert!(matches!(res, SessionCheck::Consistent), "{res:?}");
+        let (res, _, delta) = sat.round(&mut session, &checker, &lits[..2]);
+        assert!(matches!(res, Check::Consistent), "{res:?}");
         assert_eq!((delta.retracted, delta.asserted), (1, 0));
         let mut fresh = TheorySession::new(PivotRule::Bland);
-        fresh.check_round(&tm, &checker, &lits[..2]);
+        sat.round(&mut fresh, &checker, &lits[..2]);
         assert_eq!(session.simplex.mark(), fresh.simplex.mark());
         // Retract x <= 3, keep x = 5: consistent again — the old bound must
         // not linger in the warm-restarted tableau.
-        let (res, _, _) = session.check_round(&tm, &checker, &lits[1..]);
-        assert!(matches!(res, SessionCheck::Consistent), "{res:?}");
+        let (res, _, _) = sat.round(&mut session, &checker, &lits[1..]);
+        assert!(matches!(res, Check::Consistent), "{res:?}");
     }
 
     /// The session detects checker growth (new atoms pushed mid-scope) and
@@ -1161,17 +1486,18 @@ mod tests {
         let eq_xy = tm.eq(x, y);
         let mut checker = TheoryChecker::new(&mut tm, &[eq_xy]);
         let mut session = TheorySession::new(PivotRule::Bland);
-        let (res, _, _) = session.check_round(&tm, &checker, &[(eq_xy, true)]);
-        assert!(matches!(res, SessionCheck::Consistent));
+        let mut sat = Sat::default();
+        let (res, _, _) = sat.round(&mut session, &checker, &[(eq_xy, true)]);
+        assert!(matches!(res, Check::Consistent));
         // New atoms arrive (a later assertion batch).
         let fx = tm.app("f", vec![x], Sort::Loc);
         let fy = tm.app("f", vec![y], Sort::Loc);
         let eq_f = tm.eq(fx, fy);
         checker.extend(&tm, &[eq_f]);
         let lits = vec![(eq_xy, true), (eq_f, false)];
-        let (res, _, _) = session.check_round(&tm, &checker, &lits);
+        let (res, _, _) = sat.round(&mut session, &checker, &lits);
         match res {
-            SessionCheck::Conflict(mut c) => {
+            Check::Conflict(mut c) => {
                 c.sort();
                 let mut want = lits.clone();
                 want.sort();

@@ -100,7 +100,7 @@ fn recheck_model(tm: &mut TermManager, solver: &Solver) {
     let Some(model) = solver.model() else { return };
     let literals: Vec<(TermId, bool)> = model.iter().copied().collect();
     let atoms: Vec<TermId> = literals.iter().map(|&(atom, _)| atom).collect();
-    let (verdict, _) = TheoryChecker::new(tm, &atoms).check_with(tm, &literals, PivotRule::Bland);
+    let verdict = TheoryChecker::new(tm, &atoms).check_with(tm, &literals, PivotRule::Bland);
     assert_eq!(verdict, TheoryCheck::Consistent, "model {literals:?}");
 }
 

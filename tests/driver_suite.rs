@@ -197,11 +197,12 @@ fn failing_methods_keep_failing_under_the_driver() {
     assert!(!batch.all_verified());
 }
 
-/// The incremental theory session asserts only the per-round delta: keeping
-/// its trail across theory conflicts lets consecutive rounds share the
+/// The incremental theory session asserts only the per-check delta: keeping
+/// its trail across theory conflicts lets consecutive checks share the
 /// prefix the SAT backjump kept. Pinned on SLL `insert_front`, whose VCs
-/// take hundreds of theory rounds each; the solver is deterministic, so the
-/// ratio is a fixed figure (0.27).
+/// take thousands of theory checks each; the solver is deterministic, so the
+/// ratio is a fixed figure (0.0015 with a check at every propagation
+/// fixpoint; 0.27 when the session was checked once per complete model).
 #[test]
 fn theory_session_asserts_only_the_delta() {
     let ids = lists::singly_linked_list();

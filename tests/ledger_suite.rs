@@ -50,7 +50,7 @@ fn sample_vc(key: u128, solve_ms: f64, euf_s: f64) -> VcLedgerEntry {
         queue_ms: 0.25,
         solve_ms,
         phases: [0.001, 0.0625, euf_s, 0.03125, 0.015625],
-        solver: [9, 8, 7, 6, 5, 40, 3, 2, 1, 11, 2, 1, 6, 1200, 340],
+        solver: [9, 8, 7, 6, 5, 40, 3, 2, 1, 11, 2, 1, 6, 1200, 340, 4100, 37],
         core: None,
         hists,
     }
@@ -95,21 +95,39 @@ fn schema_round_trips_exactly() {
 }
 
 /// Schema-1 lines (pre unsat-core counters), schema-2 lines (pre slice
-/// counters and per-VC cores) and schema-3 lines (pre theory-literal
-/// counters) must keep parsing so the CI baseline and local history ledgers
-/// written before the v4 bump stay comparable; the fields they lack read
-/// back as zero / `None`.
+/// counters and per-VC cores), schema-3 lines (pre theory-literal counters)
+/// and schema-4 lines (pre online-search counters) must keep parsing so the
+/// CI baseline and local history ledgers written before the v5 bump stay
+/// comparable; the fields they lack read back as zero / `None`.
 #[test]
 fn older_schema_lines_still_parse_with_zeroed_new_fields() {
     let record = sample_record(7, 50.0, 0.01);
     let idx = |name: &str| SOLVER_COUNTERS.iter().position(|&c| c == name).unwrap();
     const SLICE_TOKENS: &str = ",\"slice_hits\":2,\"slice_fallbacks\":1,\"slice_dropped_hyps\":6";
     const LIT_TOKENS: &str = ",\"theory_lits\":1200,\"theory_lits_asserted\":340";
+    const ONLINE_TOKENS: &str = ",\"theory_partial_checks\":4100,\"theory_conflicts\":37";
 
-    // Rewrite the line into its v3 form: old schema tag, no theory-literal
+    // Rewrite the line into its v4 form: old schema tag, no online-search
     // counters.
+    let mut v4 = record.to_json_line();
+    v4 = v4.replacen(&format!("\"schema\":{}", LEDGER_SCHEMA), "\"schema\":4", 1);
+    v4 = v4.replace(ONLINE_TOKENS, "");
+    assert!(
+        !v4.contains("theory_conflicts"),
+        "v4 line built incorrectly"
+    );
+    let parsed = RunRecord::parse(&v4).expect("v4 line parses");
+    assert_eq!(parsed.schema, 4);
+    for vc in &parsed.vcs {
+        assert_eq!(vc.solver[idx("theory_partial_checks")], 0);
+        assert_eq!(vc.solver[idx("theory_conflicts")], 0);
+        assert_eq!(&vc.solver[..15], &record.vcs[0].solver[..15]);
+    }
+
+    // The v3 form additionally lacks the theory-literal counters.
     let mut v3 = record.to_json_line();
     v3 = v3.replacen(&format!("\"schema\":{}", LEDGER_SCHEMA), "\"schema\":3", 1);
+    v3 = v3.replace(ONLINE_TOKENS, "");
     v3 = v3.replace(LIT_TOKENS, "");
     assert!(!v3.contains("theory_lits"), "v3 line built incorrectly");
     let parsed = RunRecord::parse(&v3).expect("v3 line parses");
@@ -122,6 +140,7 @@ fn older_schema_lines_still_parse_with_zeroed_new_fields() {
 
     // The v2 form additionally lacks the slice counters.
     let mut v2 = record.to_json_line();
+    v2 = v2.replace(ONLINE_TOKENS, "");
     v2 = v2.replace(LIT_TOKENS, "");
     v2 = v2.replacen(&format!("\"schema\":{}", LEDGER_SCHEMA), "\"schema\":2", 1);
     v2 = v2.replace(SLICE_TOKENS, "");
@@ -139,6 +158,7 @@ fn older_schema_lines_still_parse_with_zeroed_new_fields() {
 
     // The v1 form additionally lacks the unsat-core counters.
     let mut v1 = record.to_json_line();
+    v1 = v1.replace(ONLINE_TOKENS, "");
     v1 = v1.replace(LIT_TOKENS, "");
     v1 = v1.replacen(&format!("\"schema\":{}", LEDGER_SCHEMA), "\"schema\":1", 1);
     v1 = v1.replace(SLICE_TOKENS, "");
